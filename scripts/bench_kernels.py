@@ -14,10 +14,7 @@ Usage::
                                                               # speedup floors, no JSON
 
 ``--smoke`` is wired into scripts/ci.sh: it fails the build if any asserted
-floor is missed — CNN per-round 2x, max_pool2d 5x, conv2d 1.5x, and the
-batched K=8 cohort round 3x over the pre-batching sequential execution
-(``batched_round`` also verifies fedavg float64 bit-identity between the
-batched and sequential paths before timing anything).
+floor is missed — CNN per-round 2x, max_pool2d 5x, conv2d 1.5x.
 """
 
 from __future__ import annotations
@@ -37,9 +34,6 @@ import numpy as np  # noqa: E402
 
 from repro.autograd import Tensor, cross_entropy, max_pool2d  # noqa: E402
 from repro.autograd import ops as ops_mod  # noqa: E402
-from repro.algorithms import make_strategy  # noqa: E402
-from repro.data.dataset import TensorDataset  # noqa: E402
-from repro.fl import BatchedCohortExecutor, Client, CostModel  # noqa: E402
 from repro.nn import LSTMCell, set_arena_enabled  # noqa: E402
 from repro.nn.models import PaperCNN  # noqa: E402
 import repro.nn.conv as conv_layer_mod  # noqa: E402
@@ -58,7 +52,6 @@ from tests.reference_kernels import (  # noqa: E402
 FLOOR_CNN_ROUND = 2.0
 FLOOR_MAX_POOL = 5.0
 FLOOR_CONV = 1.5
-FLOOR_BATCHED_ROUND = 3.0
 
 
 def _median_ms(fn, repeats: int) -> float:
@@ -204,93 +197,6 @@ def bench_cnn_round(repeats: int, smoke: bool) -> dict:
     return {"naive_ms": naive, "fast_ms": fast, "speedup": naive / fast}
 
 
-def bench_batched_round(repeats: int, smoke: bool) -> dict:
-    """A full K=8 cohort round: batched executor vs the sequential loop.
-
-    The "fast" side runs all eight clients through one ``(K, P)`` batched
-    program (:class:`repro.fl.BatchedCohortExecutor`); the "naive" side is
-    the pre-batching execution model — per-client sequential ``local_round``
-    with the pre-overhaul kernels and no arena, exactly ``cnn_round``'s
-    naive configuration times K clients.  ``seq_ms``/``seq_speedup``
-    additionally report the *production* sequential loop (current kernels,
-    arena on), the bit-exact oracle the batched path is verified against:
-    before any timing this benchmark runs one fedavg round both ways under
-    float64 and asserts the K client deltas are byte-identical.
-    """
-    cohort = 8
-    batch = 8
-    steps = 2 if smoke else 5
-    width = 0.25
-    rng = np.random.default_rng(5)
-    model = PaperCNN(width_multiplier=width, rng=np.random.default_rng(6))
-    shards = []
-    for _ in range(cohort):
-        n = batch * 5
-        shards.append(
-            TensorDataset(rng.normal(size=(n, 1, 28, 28)), rng.integers(0, 10, size=n))
-        )
-    strategy = make_strategy("fedavg", local_lr=0.05, local_steps=steps, rounds=10)
-    global_params = model.parameters_vector()
-    cost = CostModel()
-
-    def fresh_clients():
-        return [
-            Client(cid, shards[cid], batch, np.random.default_rng(7000 + cid))
-            for cid in range(cohort)
-        ]
-
-    executor = BatchedCohortExecutor.try_build(model)
-    if executor is None:  # pragma: no cover - PaperCNN always has a program
-        raise RuntimeError("PaperCNN lost its batched program registration")
-
-    # Bit-identity gate (fedavg, float64): same clients, same RNG streams,
-    # one round through each path must produce byte-equal deltas.
-    sequential_updates = [
-        client.local_round(model, strategy, global_params, {}, cost)
-        for client in fresh_clients()
-    ]
-    batched_updates = executor.run_cohort(
-        strategy, global_params, [(client, {}) for client in fresh_clients()], cost
-    )
-    for seq_update, bat_update in zip(sequential_updates, batched_updates):
-        if seq_update.delta.dtype == np.float64 and not np.array_equal(
-            seq_update.delta, bat_update.delta
-        ):
-            raise AssertionError(
-                f"batched fedavg delta differs from sequential oracle for "
-                f"client {seq_update.client_id}"
-            )
-
-    def run_sequential():
-        for client in fresh_clients():
-            client.local_round(model, strategy, global_params, {}, cost)
-
-    def run_batched():
-        executor.run_cohort(
-            strategy, global_params, [(client, {}) for client in fresh_clients()], cost
-        )
-
-    set_arena_enabled(True)
-    fast = _median_ms(run_batched, repeats)
-    seq = _median_ms(run_sequential, repeats)
-    set_arena_enabled(False)
-    conv_layer_mod.conv2d = naive_conv2d
-    cnn_model_mod.max_pool2d = naive_max_pool2d
-    try:
-        naive = _median_ms(run_sequential, repeats)
-    finally:
-        conv_layer_mod.conv2d = ops_mod.conv2d
-        cnn_model_mod.max_pool2d = max_pool2d
-        set_arena_enabled(True)
-    return {
-        "naive_ms": naive,
-        "seq_ms": seq,
-        "fast_ms": fast,
-        "speedup": naive / fast,
-        "seq_speedup": seq / fast,
-    }
-
-
 BENCHMARKS = {
     "max_pool2d": bench_max_pool,
     "avg_pool2d": bench_avg_pool,
@@ -298,7 +204,6 @@ BENCHMARKS = {
     "lstm_cell": bench_lstm,
     "vector_round_trip": bench_vector_round_trip,
     "cnn_round": bench_cnn_round,
-    "batched_round": bench_batched_round,
 }
 
 
@@ -317,14 +222,11 @@ def main(argv=None) -> int:
     results = {}
     for name, bench in BENCHMARKS.items():
         results[name] = {k: round(v, 4) for k, v in bench(repeats, args.smoke).items()}
-        line = (
+        print(
             f"{name:20s} naive {results[name]['naive_ms']:9.3f} ms   "
             f"fast {results[name]['fast_ms']:9.3f} ms   "
             f"speedup {results[name]['speedup']:6.2f}x"
         )
-        if "seq_speedup" in results[name]:
-            line += f"   (vs production sequential: {results[name]['seq_speedup']:.2f}x)"
-        print(line)
 
     payload = {
         "meta": {
@@ -356,11 +258,6 @@ def main(argv=None) -> int:
         if results["conv2d"]["speedup"] < FLOOR_CONV:
             failures.append(
                 f"conv2d speedup {results['conv2d']['speedup']:.2f}x < {FLOOR_CONV}x"
-            )
-        if results["batched_round"]["speedup"] < FLOOR_BATCHED_ROUND:
-            failures.append(
-                f"batched_round speedup {results['batched_round']['speedup']:.2f}x "
-                f"< {FLOOR_BATCHED_ROUND}x"
             )
         if failures:
             print("PERF REGRESSION: " + "; ".join(failures), file=sys.stderr)

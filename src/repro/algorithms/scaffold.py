@@ -86,32 +86,6 @@ class Scaffold(Strategy):
         scale = self.correction_scale(client_id, payload)
         return grad + scale * (payload["server_control"] - payload["client_control"])
 
-    def batched_local_directions(
-        self,
-        step: int,
-        params: np.ndarray,
-        grads: np.ndarray,
-        batched_grad_fn,
-        client_ids: Sequence[int],
-        payloads: Sequence[Dict[str, Any]],
-    ) -> np.ndarray:
-        """Row-wise control-variate corrections over the cohort.
-
-        The per-row loop replays :meth:`local_direction`'s expression
-        exactly (so it stays bit-identical) while still going through
-        :meth:`correction_scale` — the tailored hybrid overrides that
-        per client, and the controls are round-constant vectors, so this
-        is O(K·P) adds with no extra gradient evaluations.
-        """
-        directions = np.empty_like(grads)
-        for row, client_id in enumerate(client_ids):
-            payload = payloads[row]
-            scale = self.correction_scale(client_id, payload)
-            directions[row] = grads[row] + scale * (
-                payload["server_control"] - payload["client_control"]
-            )
-        return directions
-
     # ------------------------------------------------------------------
     def post_round(self, state: ServerState, updates: Sequence[ClientUpdate]) -> None:
         if self._server_control is None:

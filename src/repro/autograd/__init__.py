@@ -15,10 +15,8 @@ Public surface:
 from .grad_check import check_gradients, numeric_gradient
 from .ops import (
     avg_pool2d,
-    batched_conv2d,
     batched_cross_entropy,
     batched_linear,
-    batched_max_pool2d,
     conv2d,
     cross_entropy,
     log_softmax,
@@ -60,8 +58,6 @@ __all__ = [
     "max_pool2d",
     "avg_pool2d",
     "batched_linear",
-    "batched_conv2d",
-    "batched_max_pool2d",
     "batched_cross_entropy",
     "lstm_step",
     "narrow",

@@ -445,7 +445,7 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
 # replaces K sequential per-client graphs.  Every kernel is constructed so
 # that slice k of its output (and of every gradient) is *bit-identical* to
 # what the sequential kernel produces for client k alone — numpy's batched
-# matmul/einsum dispatch the same per-slice GEMMs as the 2-D calls, and all
+# matmul dispatches the same per-slice GEMMs as the 2-D calls, and all
 # remaining arithmetic is elementwise or reduces within one client's slice.
 # tests/autograd/test_batched_ops.py asserts this byte-for-byte.
 # ----------------------------------------------------------------------
@@ -490,138 +490,7 @@ def batched_linear(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
     return result
 
 
-def batched_conv2d(
-    x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padding: int = 0
-) -> Tensor:
-    """Per-client 2-D convolution with a leading client axis.
-
-    Parameters
-    ----------
-    x:
-        Input of shape ``(clients, batch, in_channels, height, width)``.
-    weight:
-        Per-client kernels ``(clients, out_channels, in_channels, k, k)``.
-    bias:
-        Optional per-client bias ``(clients, out_channels)``.
-
-    One autograd node and one numpy call per logical step cover all K
-    clients: the client axis folds into the batch axis for a single im2col
-    gather (same cached indices as :func:`conv2d`), the contraction runs as
-    one stacked ``matmul`` over K GEMMs of exactly the per-client shape, and
-    the backward uses one batched einsum for ``grad_w``, one stacked matmul
-    for ``grad_cols`` and one folded col2im.  Slice k stays *bit-identical*
-    to the sequential :func:`conv2d`: stacked-matmul slices run the
-    same-shaped GEMM the sequential ``tensordot`` collapses to, the batched
-    einsum reduces each client block exactly like the per-client call, and
-    gathers, strided adds and bias broadcasts are elementwise.  The payoff
-    is amortised numpy-call overhead: at this reproduction's small widths
-    the sequential path spends most of its time in dispatch, not FLOPs.
-    """
-    if padding:
-        x = x.pad2d(padding)
-    clients, batch, in_c, height, width = x.shape
-    w_clients, out_c, w_in_c, kernel, kernel2 = weight.shape
-    if w_clients != clients or w_in_c != in_c or kernel != kernel2:
-        raise ValueError(
-            f"weight shape {weight.shape} incompatible with input shape {x.shape}"
-        )
-    out_h = (height - kernel) // stride + 1
-    out_w = (width - kernel) // stride + 1
-    pixels = out_h * out_w
-    ckk = in_c * kernel * kernel
-
-    _, _, _, flat = _im2col_indices(in_c, height, width, kernel, stride)
-    # One gather in the sequential (B, C*k*k, P) layout per client slice —
-    # grad_w's einsum consumes it as-is, exactly like the per-client kernel.
-    # np.take over the folded (K*B, C*H*W) view is a pure copy (same bits as
-    # any gather formulation) with the lowest index overhead measured here.
-    cols = np.take(x.data.reshape(clients * batch, -1), flat, axis=1).reshape(
-        clients, batch, ckk, pixels
-    )
-    w_flat = weight.data.reshape(clients, out_c, ckk)
-    bias_data = None if bias is None else bias.data
-    # Forward contraction stays a per-client tensordot: each client's GEMM
-    # collapses to the exact sequential shape (bit-identity), and the
-    # internal transpose-copy works on one client's cache-sized block —
-    # one whole-cohort transpose-copy is measurably slower out of cache.
-    out = np.empty((clients, batch, out_c, out_h, out_w), dtype=x.data.dtype)
-    for c in range(clients):
-        o = np.tensordot(w_flat[c], cols[c], axes=([1], [1]))
-        if bias_data is not None:
-            o = o + bias_data[c].reshape(out_c, 1, 1)
-        # transpose+reshape is a pure view (last axis stays contiguous); the
-        # assignment copies the sequential kernel's bits into row c.
-        out[c] = o.transpose(1, 0, 2).reshape(batch, out_c, out_h, out_w)
-
-    x_shape = x.shape
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    x_requires = x.requires_grad
-    # Both grad_w reductions below are bit-identical to the sequential
-    # einsum; the batched form amortises dispatch for small blocks, while
-    # big blocks (einsum's internal operand copy falls out of cache) run the
-    # per-client loop.
-    batch_grad_w = cols.nbytes <= 24 * 1024 * 1024
-
-    def backward(g: np.ndarray):
-        g4 = g.reshape(clients, batch, out_c, pixels)
-        if batch_grad_w:
-            grad_w = np.einsum("kbop,kbcp->koc", g4, cols, optimize=True).reshape(
-                weight.shape
-            )
-        else:
-            grad_w = np.empty(weight.shape, dtype=g.dtype)
-            for c in range(clients):
-                grad_w[c] = np.einsum(
-                    "bop,bcp->oc", g4[c], cols[c], optimize=True
-                ).reshape(out_c, in_c, kernel, kernel)
-        grad_x = None
-        if x_requires:
-            # grad_cols: the sequential kernel broadcasts (C*k*k, out_c)
-            # against (B, out_c, P); repeating the small weight block per
-            # sample keeps those exact per-sample GEMM shapes while folding
-            # all K*B of them into one stacked matmul (a stride-0 broadcast
-            # dim would fall off numpy's BLAS fast path).
-            w_rep = np.repeat(w_flat.transpose(0, 2, 1), batch, axis=0)
-            grad_cols = np.matmul(w_rep, g.reshape(clients * batch, out_c, pixels))
-            windowed = grad_cols.reshape(
-                clients * batch, in_c, kernel * kernel, out_h, out_w
-            )
-            grad_x = np.zeros((clients * batch, in_c, height, width), dtype=g.dtype)
-            for offset in range(kernel * kernel):
-                kh, kw = divmod(offset, kernel)
-                grad_x[
-                    :, :, kh : kh + stride * out_h : stride, kw : kw + stride * out_w : stride
-                ] += windowed[:, :, offset]
-            grad_x = grad_x.reshape(x_shape)
-        if bias is None:
-            return (grad_x, grad_w)
-        return (grad_x, grad_w, g4.sum(axis=(1, 3)))
-
-    requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-    result = Tensor(out, requires_grad=requires, _parents=parents if requires else ())
-    if requires:
-        result._backward = backward
-    return result
-
-
-def batched_max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
-    """Max pooling over ``(clients, batch, C, H, W)`` input.
-
-    Pooling has no per-client weights, so the client axis simply folds into
-    the batch axis and the standard kernel runs once over ``clients*batch``
-    samples — every op in :func:`max_pool2d` is elementwise over the leading
-    axes, so the fold is bit-exact by construction.
-    """
-    clients, batch, channels, height, width = x.shape
-    folded = x.reshape(clients * batch, channels, height, width)
-    pooled = max_pool2d(folded, kernel, stride)
-    _, _, out_h, out_w = pooled.shape
-    return pooled.reshape(clients, batch, channels, out_h, out_w)
-
-
-def batched_cross_entropy(
-    logits: Tensor, targets: np.ndarray, counts: np.ndarray | None = None
-) -> Tensor:
+def batched_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Sum over clients of per-client mean cross-entropies.
 
     Parameters
@@ -630,17 +499,12 @@ def batched_cross_entropy(
         Per-client logits of shape ``(clients, batch, num_classes)``.
     targets:
         Integer labels ``(clients, batch)``.
-    counts:
-        Optional per-client count of *valid* rows; rows at index >=
-        ``counts[k]`` are padding — they contribute exactly zero loss and
-        zero gradient (their target entries are ignored).  ``None`` means
-        every row is valid.
 
     The returned scalar is ``sum_k loss_k`` where ``loss_k`` equals
-    ``cross_entropy(logits[k, :counts[k]], targets[k, :counts[k]])``
-    bit-for-bit: the log-softmax is rowwise, each client's picked
-    log-probabilities occupy one contiguous slice (same pairwise summation),
-    and the ``-(sum * (1/n))`` chain replays the sequential mean/neg nodes.
+    ``cross_entropy(logits[k], targets[k])`` bit-for-bit: the log-softmax
+    is rowwise, each client's picked log-probabilities occupy one slice
+    (same pairwise summation), and the ``-(sum * (1/n))`` chain replays the
+    sequential mean/neg nodes.
     """
     targets = np.asarray(targets, dtype=np.int64)
     if logits.ndim != 3:
@@ -650,14 +514,6 @@ def batched_cross_entropy(
         raise ValueError(
             f"targets shape {targets.shape} does not match logits batch {(clients, batch)}"
         )
-    if counts is None:
-        counts_arr = np.full(clients, batch, dtype=np.int64)
-    else:
-        counts_arr = np.asarray(counts, dtype=np.int64)
-        if counts_arr.shape != (clients,):
-            raise ValueError(f"counts shape {counts_arr.shape} != ({clients},)")
-        if (counts_arr < 1).any() or (counts_arr > batch).any():
-            raise ValueError(f"counts must be in [1, {batch}], got {counts_arr}")
 
     data = logits.data
     shifted = data - data.max(axis=2, keepdims=True)
@@ -666,25 +522,18 @@ def batched_cross_entropy(
     log_probs = shifted - np.log(sum_exp)
     softmax = exp / sum_exp
 
-    # Clip padded targets before the gather; their picked values are never
-    # read (the per-client sum stops at counts[k]).
-    safe_targets = np.minimum(targets, log_probs.shape[2] - 1)
-    picked = np.take_along_axis(log_probs, safe_targets[:, :, None], axis=2)[:, :, 0]
+    picked = np.take_along_axis(log_probs, targets[:, :, None], axis=2)[:, :, 0]
     losses = np.empty(clients, dtype=data.dtype)
     for client in range(clients):
-        n = int(counts_arr[client])
         # Replays cross_entropy's -(picked.mean()) node chain exactly:
-        # a contiguous pairwise sum, a multiply by 1/n, a negation.
-        losses[client] = -(picked[client, :n].sum() * (1.0 / n))
+        # a pairwise sum, a multiply by 1/n, a negation.
+        losses[client] = -(picked[client].sum() * (1.0 / batch))
     out = losses.sum()
 
     def backward(g: np.ndarray):
-        g_arr = np.asarray(g)
+        coeff = (-np.asarray(g)) * (1.0 / batch)
         g_ls = np.zeros_like(log_probs)
-        for client in range(clients):
-            n = int(counts_arr[client])
-            coeff = (-g_arr) * (1.0 / n)
-            np.add.at(g_ls[client], (np.arange(n), targets[client, :n]), coeff)
+        np.add.at(g_ls, (np.arange(clients)[:, None], np.arange(batch), targets), coeff)
         return (g_ls - softmax * g_ls.sum(axis=2, keepdims=True),)
 
     requires = is_grad_enabled() and logits.requires_grad

@@ -95,9 +95,9 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--batched", action="store_true",
-        help="vectorize local training across the cohort (one (K, P) batched "
-        "program per round; see docs/PERFORMANCE.md) — omit to force the "
-        "sequential bit-exact oracle",
+        help="vectorize local training across the cohort for MLP models (one "
+        "(K, P) batched program per round; see docs/PERFORMANCE.md) — other "
+        "models, or omitting the flag, keep the sequential oracle",
     )
 
 
@@ -255,7 +255,11 @@ def _result_row(name: str, result, target: float, total_rounds: int) -> List[str
 
 def cmd_run(args: argparse.Namespace) -> int:
     """``repro run`` — train one algorithm and print/emit its metrics."""
-    config = _config_from_args(args)
+    try:
+        config = _config_from_args(args)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if args.resume and not args.checkpoint_dir:
         print("--resume requires --checkpoint-dir", file=sys.stderr)
         return 2
@@ -567,7 +571,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     """``repro compare`` — run several algorithms under identical conditions."""
-    config = _config_from_args(args)
+    try:
+        config = _config_from_args(args)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     results = run_suite(config, args.algorithms)
     target = target_for(config)
     rows = [

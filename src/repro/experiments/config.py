@@ -44,10 +44,9 @@ class ExperimentConfig:
     speed_spread: float = 0.3  # client compute heterogeneity for Fig. 5
     target_accuracy: Optional[float] = None  # None -> dataset default target
     #: Run each round's benign clients through one (K, P) batched program
-    #: (see repro.fl.batched).  Off by default: the sequential path is the
-    #: bit-exact oracle, and batched runs are bit-identical only for
-    #: strategies without correction state under float64 (fedavg) —
-    #: correction strategies land within a few machine epsilon.
+    #: (see repro.fl.batched).  Only MLP models have one; other models keep
+    #: the sequential path.  Off by default: the sequential path is the
+    #: oracle, and under float64 batched MLP runs are byte-identical to it.
     batched_execution: bool = False
 
     def __post_init__(self) -> None:

@@ -5,7 +5,7 @@ time grows linearly with cohort size even though every benign client runs
 the *same* tensor program.  This module stacks the cohort's flat parameter
 vectors into one ``(K, P)`` :class:`~repro.nn.arena.BatchedClientArena` and
 runs the K local SGD trajectories as batched tensor ops (leading client
-axis through the im2col/matmul machinery in :mod:`repro.autograd.ops`),
+axis through the stacked matmuls in :mod:`repro.autograd.ops`),
 emitting all K :class:`~repro.fl.state.ClientUpdate`\\ s from one program.
 
 Design constraints, in order:
@@ -21,9 +21,7 @@ Design constraints, in order:
    ``min(batch_size, len(dataset))`` — padding a GEMM would change BLAS
    blocking and break bit-identity, so each group runs its own batched
    program and singleton groups fall back to the (trivially exact)
-   sequential client.  Within the batched loss, per-client masking via
-   ``counts`` is available for callers that do pad (see
-   :func:`~repro.autograd.ops.batched_cross_entropy`).
+   sequential client.
 3. **Oracle fallback.**  Only clients whose ``local_round`` is the stock
    :meth:`Client.local_round <repro.fl.client.Client.local_round>` are
    eligible — attack/freeloader subclasses run sequentially, and models

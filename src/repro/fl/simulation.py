@@ -100,11 +100,11 @@ class FederatedSimulation:
     batched_execution:
         When ``True``, run each round's benign clients through one
         ``(K, P)`` batched program (:mod:`repro.fl.batched`) instead of
-        sequentially — bit-identical for fedavg under float64, near-machine
-        parity for correction strategies, ~cohort-size faster on CNN
-        workloads.  Clients with custom ``local_round`` overrides and
-        models without a batched forward silently keep the sequential
-        oracle.
+        sequentially.  Only MLP models have a batched program; under
+        float64 their runs are byte-identical to the sequential ones for
+        every registered algorithm.  Clients with custom ``local_round``
+        overrides and models without a batched program (PaperCNN, LSTM,
+        ResNet) silently keep the sequential oracle.
     """
 
     def __init__(

@@ -136,7 +136,7 @@ class BatchedClientArena:
     two matrices and hands out zero-copy per-parameter views of shape
     ``(clients, *param_shape)`` — row ``k`` of every view aliases client
     k's slice, laid out with exactly the same per-parameter offsets as
-    :class:`FlatParameterArena`, so ``parameters_matrix()[k]`` is directly
+    :class:`FlatParameterArena`, so ``params_rows()[k]`` is directly
     comparable (byte-for-byte) with a sequential client's flat vector.
 
     Peak memory is O(clients * P) for parameters plus the same for
@@ -236,10 +236,6 @@ class BatchedClientArena:
             raise ValueError(f"expected {self.clients} rows, got {len(rows)}")
         for k, row in enumerate(rows):
             np.copyto(self.buffer[k], np.asarray(row).reshape(-1))
-
-    def parameters_matrix(self) -> np.ndarray:
-        """Copy of the ``(clients, P)`` parameter matrix."""
-        return self.buffer.copy()
 
     def params_rows(self) -> np.ndarray:
         """The live ``(clients, P)`` buffer itself (mutate with care).

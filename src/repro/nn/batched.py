@@ -11,28 +11,25 @@ slice ``k`` of the forward pass — and of every parameter gradient — is
 bit-identical to running the template model on client k's row alone (see
 tests/autograd/test_batched_ops.py and tests/fl/test_batched_execution.py).
 
-Only model architectures with a registered forward builder can be batched;
-:func:`supports_batched` is the gate the simulation loop checks before
-taking the batched path, and anything unsupported silently stays on the
-sequential oracle.
+Only model architectures with a registered forward builder can be batched,
+and today that is :class:`~repro.nn.models.MLP` alone: measured end to end,
+batching pays off on MLP cohorts, whose per-step numpy dispatch dominates,
+but not on PaperCNN, which had a batched program that never beat the
+sequential loop (docs/PERFORMANCE.md).  :func:`supports_batched` is the
+gate the simulation loop checks before taking the batched path, and
+anything unsupported silently stays on the sequential oracle.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..autograd import (
-    Tensor,
-    batched_conv2d,
-    batched_linear,
-    batched_max_pool2d,
-)
+from ..autograd import Tensor, batched_linear
 from .activations import ReLU
 from .arena import BatchedClientArena
 from .linear import Linear
-from .models.cnn import PaperCNN
 from .models.mlp import MLP
 from .module import Module, Parameter
 
@@ -40,73 +37,31 @@ from .module import Module, Parameter
 BatchedForward = Callable[[Sequence[Parameter], Tensor], Tensor]
 
 
-class _ParamCursor:
-    """Walks the flat batched-parameter list in template order."""
-
-    __slots__ = ("params", "index")
-
-    def __init__(self, params: Sequence[Parameter]) -> None:
-        self.params = params
-        self.index = 0
-
-    def take(self, has_bias: bool):
-        weight = self.params[self.index]
-        self.index += 1
-        bias = None
-        if has_bias:
-            bias = self.params[self.index]
-            self.index += 1
-        return weight, bias
-
-
-def _build_paper_cnn(template: PaperCNN) -> BatchedForward:
-    conv_specs = [
-        (template.conv1.stride, template.conv1.padding, template.conv1.bias is not None),
-        (template.conv2.stride, template.conv2.padding, template.conv2.bias is not None),
-    ]
-    fc_specs = [
-        template.fc1.bias is not None,
-        template.fc2.bias is not None,
-        template.fc3.bias is not None,
-    ]
-
-    def forward(params: Sequence[Parameter], x: Tensor) -> Tensor:
-        cursor = _ParamCursor(params)
-        for stride, padding, has_bias in conv_specs:
-            weight, bias = cursor.take(has_bias)
-            x = batched_conv2d(x, weight, bias, stride=stride, padding=padding)
-            x = batched_max_pool2d(x.relu(), 2)
-        x = x.flatten(start_dim=2)
-        for position, has_bias in enumerate(fc_specs):
-            weight, bias = cursor.take(has_bias)
-            x = batched_linear(x, weight, bias)
-            if position < len(fc_specs) - 1:
-                x = x.relu()
-        return x
-
-    return forward
-
-
 def _build_mlp(template: MLP) -> Optional[BatchedForward]:
-    plan: List[tuple] = []
+    # One entry per layer: None for a ReLU, else the (weight, bias) indices
+    # of a Linear into the template-ordered parameter list.
+    plan: List[Optional[Tuple[int, Optional[int]]]] = []
+    index = 0
     for layer in template.net:
         if isinstance(layer, Linear):
-            plan.append(("linear", layer.bias is not None))
+            bias_index = None if layer.bias is None else index + 1
+            plan.append((index, bias_index))
+            index += 1 if bias_index is None else 2
         elif isinstance(layer, ReLU):
-            plan.append(("relu", False))
+            plan.append(None)
         else:
             return None  # custom layer type — stay on the sequential path
 
     def forward(params: Sequence[Parameter], x: Tensor) -> Tensor:
         if x.ndim > 3:
             x = x.flatten(start_dim=2)
-        cursor = _ParamCursor(params)
-        for kind, has_bias in plan:
-            if kind == "relu":
+        for step in plan:
+            if step is None:
                 x = x.relu()
             else:
-                weight, bias = cursor.take(has_bias)
-                x = batched_linear(x, weight, bias)
+                weight_index, bias_index = step
+                bias = None if bias_index is None else params[bias_index]
+                x = batched_linear(x, params[weight_index], bias)
         return x
 
     return forward
@@ -118,8 +73,6 @@ def build_batched_forward(template: Module) -> Optional[BatchedForward]:
     Dispatch is on the exact model type — a subclass may override
     ``forward`` arbitrarily, so it must opt in with its own builder.
     """
-    if type(template) is PaperCNN:
-        return _build_paper_cnn(template)
     if type(template) is MLP:
         return _build_mlp(template)
     return None
@@ -158,13 +111,6 @@ class BatchedModelProgram:
             self.params.append(param)
         arena.bind(self.params)
 
-    @classmethod
-    def try_build(cls, template: Module, clients: int) -> Optional["BatchedModelProgram"]:
-        """Build a program, or ``None`` when the model is unsupported."""
-        if not supports_batched(template):
-            return None
-        return cls(template, clients)
-
     # ------------------------------------------------------------------
     def load_rows(self, rows: Sequence[np.ndarray]) -> None:
         """Load one flat ``(P,)`` parameter vector per client row."""
@@ -173,10 +119,6 @@ class BatchedModelProgram:
     def params_rows(self) -> np.ndarray:
         """Live ``(clients, P)`` parameter buffer (updated in place)."""
         return self.arena.params_rows()
-
-    def parameters_matrix(self) -> np.ndarray:
-        """Copy of the ``(clients, P)`` parameter matrix."""
-        return self.arena.parameters_matrix()
 
     def zero_grad(self) -> None:
         for param in self.params:

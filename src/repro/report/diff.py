@@ -35,9 +35,6 @@ KERNEL_SPEEDUP_FLOORS: Dict[str, float] = {
     "max_pool2d": 5.0,
     "cnn_round": 2.0,
     "conv2d": 1.5,
-    # Batched K=8 cohort round vs the pre-batching sequential execution
-    # (naive kernels, no arena, per-client loop) — see bench_batched_round.
-    "batched_round": 3.0,
 }
 
 #: Acceptance ceiling for telemetry/introspection overhead (percent).
@@ -164,7 +161,8 @@ def check_bench(path: str | Path) -> Tuple[List[List[str]], List[str]]:
     quantity, and the list of floor violations (empty = pass).  The file
     kind is detected from its layout — ``benchmarks`` (kernels) vs
     ``algorithms`` (telemetry) vs ``populations`` (federation scaling) vs
-    ``chaos`` (network-chaos invariants + loss thresholds).
+    ``chaos`` (network-chaos invariants + loss thresholds) vs ``serving``
+    (open-loop load-test sweep).
     """
     target = Path(path)
     data = json.loads(target.read_text(encoding="utf-8"))

@@ -10,85 +10,14 @@ replacement for the per-client loop under float64.
 import numpy as np
 import pytest
 
-from repro.autograd import (
-    Tensor,
-    batched_conv2d,
-    batched_cross_entropy,
-    batched_linear,
-    batched_max_pool2d,
-    conv2d,
-    cross_entropy,
-    max_pool2d,
-)
-from repro.nn.batched import BatchedModelProgram, supports_batched
+from repro.autograd import Tensor, batched_cross_entropy, batched_linear, cross_entropy
+from repro.nn.batched import BatchedModelProgram, build_batched_forward, supports_batched
 from repro.nn.models import MLP, PaperCNN
 
 
 def _grad(tensor):
     assert tensor.grad is not None
     return tensor.grad
-
-
-class TestBatchedConv2d:
-    @pytest.mark.parametrize(
-        "clients,batch,in_c,out_c,size,stride,padding",
-        [
-            (4, 3, 1, 2, 12, 1, 2),
-            (3, 5, 2, 4, 9, 2, 1),
-            (5, 2, 3, 2, 8, 1, 0),
-        ],
-    )
-    def test_slices_match_sequential(self, rng, clients, batch, in_c, out_c, size, stride, padding):
-        x = Tensor(rng.normal(size=(clients, batch, in_c, size, size)), requires_grad=True)
-        w = Tensor(rng.normal(size=(clients, out_c, in_c, 3, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=(clients, out_c)), requires_grad=True)
-
-        out = batched_conv2d(x, w, b, stride=stride, padding=padding)
-        g = rng.normal(size=out.shape)
-        out.backward(g)
-
-        for k in range(clients):
-            xs = Tensor(x.data[k].copy(), requires_grad=True)
-            ws = Tensor(w.data[k].copy(), requires_grad=True)
-            bs = Tensor(b.data[k].copy(), requires_grad=True)
-            ref = conv2d(xs, ws, bs, stride=stride, padding=padding)
-            ref.backward(g[k])
-            assert np.array_equal(out.data[k], ref.data)
-            assert np.array_equal(_grad(x)[k], _grad(xs))
-            assert np.array_equal(_grad(w)[k], _grad(ws))
-            assert np.array_equal(_grad(b)[k], _grad(bs))
-
-    def test_large_cols_grad_w_branch_matches(self, rng):
-        # cols above the size-dispatch threshold take the per-client einsum
-        # loop for grad_w; both branches must agree with the sequential bits.
-        clients, batch = 2, 24
-        x = Tensor(rng.normal(size=(clients, batch, 3, 30, 30)), requires_grad=False)
-        w = Tensor(rng.normal(size=(clients, 4, 3, 5, 5)), requires_grad=True)
-        out = batched_conv2d(x, w, None, stride=1, padding=0)
-        g = rng.normal(size=out.shape)
-        out.backward(g)
-        for k in range(clients):
-            ws = Tensor(w.data[k].copy(), requires_grad=True)
-            ref = conv2d(Tensor(x.data[k].copy()), ws, None, stride=1, padding=0)
-            ref.backward(g[k])
-            assert np.array_equal(out.data[k], ref.data)
-            assert np.array_equal(_grad(w)[k], _grad(ws))
-
-    def test_input_grad_skipped_for_non_grad_input(self, rng):
-        # Data batches never require grad; the kernel must not spend time
-        # (or memory) materialising grad_x, and weight grads stay exact.
-        x = Tensor(rng.normal(size=(3, 4, 1, 10, 10)), requires_grad=False)
-        w = Tensor(rng.normal(size=(3, 2, 1, 3, 3)), requires_grad=True)
-        out = batched_conv2d(x, w, None, stride=1, padding=1)
-        out.backward(np.ones(out.shape))
-        assert x.grad is None
-        assert w.grad is not None
-
-    def test_shape_mismatch_raises(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 1, 8, 8)))
-        w = Tensor(rng.normal(size=(3, 2, 1, 3, 3)))  # wrong client count
-        with pytest.raises(ValueError):
-            batched_conv2d(x, w, None, stride=1, padding=0)
 
 
 class TestBatchedLinear:
@@ -120,20 +49,6 @@ class TestBatchedLinear:
         assert w.grad is not None
 
 
-class TestBatchedMaxPool:
-    def test_slices_match_sequential(self, rng):
-        x = Tensor(rng.normal(size=(4, 3, 2, 12, 12)), requires_grad=True)
-        out = batched_max_pool2d(x, 2)
-        g = rng.normal(size=out.shape)
-        out.backward(g)
-        for k in range(4):
-            xs = Tensor(x.data[k].copy(), requires_grad=True)
-            ref = max_pool2d(xs, 2)
-            ref.backward(g[k])
-            assert np.array_equal(out.data[k], ref.data)
-            assert np.array_equal(_grad(x)[k], _grad(xs))
-
-
 class TestBatchedCrossEntropy:
     def test_sum_of_per_client_losses(self, rng):
         clients, batch, classes = 4, 6, 5
@@ -151,38 +66,24 @@ class TestBatchedCrossEntropy:
             assert np.array_equal(_grad(logits)[k], _grad(ls))
         assert loss.item() == pytest.approx(total, rel=0, abs=1e-12)
 
-    def test_masked_padding_rows_contribute_nothing(self, rng):
-        clients, batch, classes = 3, 5, 4
-        logits = Tensor(rng.normal(size=(clients, batch, classes)), requires_grad=True)
-        targets = rng.integers(0, classes, size=(clients, batch))
-        counts = np.array([5, 3, 2])
-        loss = batched_cross_entropy(logits, targets, counts=counts)
-        loss.backward()
-        for k in range(clients):
-            n = counts[k]
-            ls = Tensor(logits.data[k, :n].copy(), requires_grad=True)
-            ref = cross_entropy(ls, targets[k, :n])
-            ref.backward()
-            assert np.array_equal(_grad(logits)[k, :n], _grad(ls))
-            # padding rows: exactly zero gradient
-            assert not _grad(logits)[k, n:].any()
-
 
 class TestBatchedModelProgram:
     @pytest.mark.parametrize("make_model", [
-        lambda rng: PaperCNN(width_multiplier=0.25, rng=rng),
-        lambda rng: MLP(28 * 28, 10, hidden=(16, 8), rng=rng),
+        # image input: the batched forward flattens (clients, batch, C, H, W)
+        lambda rng: (MLP(28 * 28, 10, hidden=(16, 8), rng=rng), (1, 28, 28)),
+        # flat input and no hidden layer: a lone Linear, no ReLU, no flatten
+        lambda rng: (MLP(12, 10, hidden=(), rng=rng), (12,)),
     ])
     def test_rows_match_template_model(self, rng, make_model):
         clients, batch = 3, 4
-        template = make_model(np.random.default_rng(0))
+        template, sample_shape = make_model(np.random.default_rng(0))
         assert supports_batched(template)
         program = BatchedModelProgram(template, clients)
 
         base = template.parameters_vector()
         rows = [base + 0.01 * (k + 1) for k in range(clients)]
         program.load_rows(rows)
-        x = rng.normal(size=(clients, batch, 1, 28, 28))
+        x = rng.normal(size=(clients, batch, *sample_shape))
         targets = rng.integers(0, 10, size=(clients, batch))
 
         program.zero_grad()
@@ -207,12 +108,18 @@ class TestBatchedModelProgram:
         assert np.array_equal(live[1], base * 2.0)
         # in-place SGD on the live buffer is visible through the parameters
         live -= 0.5 * live
-        assert np.array_equal(program.parameters_matrix()[0], 0.5 * base)
+        weight = program.params[0].data  # (clients, out, in) view into the arena
+        assert np.array_equal(weight[0].ravel(), 0.5 * base[: weight[0].size])
 
     def test_unsupported_model_returns_none(self):
-        class OddCNN(PaperCNN):
-            pass
+        class OddMLP(MLP):
+            pass  # exact-type dispatch: subclasses must opt in themselves
 
-        model = OddCNN(width_multiplier=0.25, rng=np.random.default_rng(2))
-        assert not supports_batched(model)
-        assert BatchedModelProgram.try_build(model, 2) is None
+        for model in (
+            PaperCNN(width_multiplier=0.25, rng=np.random.default_rng(2)),
+            OddMLP(6, 3, hidden=(5,), rng=np.random.default_rng(2)),
+        ):
+            assert build_batched_forward(model) is None
+            assert not supports_batched(model)
+            with pytest.raises(ValueError):
+                BatchedModelProgram(model, 2)

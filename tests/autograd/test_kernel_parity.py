@@ -81,6 +81,29 @@ class TestConvParity:
         np.testing.assert_allclose(fast_grads[1], ref_grads[1], rtol=1e-12, atol=1e-13)
         np.testing.assert_allclose(fast_grads[2], ref_grads[2], rtol=1e-12, atol=1e-13)
 
+    def test_input_grad_skipped_for_non_grad_input(self, rng):
+        # Data batches never require grad: conv2d must not materialise
+        # grad_x for them, and the weight/bias grads must stay exact.
+        x_data = rng.normal(size=(3, 2, 9, 9))
+        w_data = rng.normal(size=(4, 2, 3, 3))
+        b_data = rng.normal(size=4)
+
+        def run(conv):
+            x = Tensor(x_data.copy(), requires_grad=False)
+            w = Tensor(w_data.copy(), requires_grad=True)
+            b = Tensor(b_data.copy(), requires_grad=True)
+            out, grads = _forward_backward(
+                lambda w, b: conv(x, w, b, stride=1, padding=1), w, b
+            )
+            assert x.grad is None
+            return out, grads
+
+        fast_out, fast_grads = run(conv2d)
+        ref_out, ref_grads = run(naive_conv2d)
+        np.testing.assert_allclose(fast_out, ref_out, rtol=1e-13, atol=1e-13)
+        for fast, ref in zip(fast_grads, ref_grads):
+            np.testing.assert_allclose(fast, ref, rtol=1e-12, atol=1e-13)
+
 
 class TestMaxPoolParity:
     @pytest.mark.parametrize(

@@ -1,10 +1,10 @@
 """End-to-end equivalence of the batched execution path.
 
 ``batched_execution=True`` must be a pure performance knob: under float64
-a batched fedavg run is *byte-identical* to the sequential oracle, the
-correction algorithms (taco/scaffold/stem) replay the same arithmetic, and
-every ineligible client (freeloaders, attackers, tiny shards, unsupported
-models) transparently falls back to the sequential path.
+a batched MLP run is *byte-identical* to the sequential oracle for every
+registered algorithm, and every ineligible client (freeloaders, attackers,
+tiny shards) or unsupported model (PaperCNN, MLP subclasses) transparently
+falls back to the sequential path.
 """
 
 import tracemalloc
@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.algorithms import make_strategy
+from repro.algorithms import algorithm_names, make_strategy
 from repro.attacks import FreeloaderClient
 from repro.data import TensorDataset
 from repro.fl import (
@@ -34,9 +34,9 @@ SHARD_SIZES = (40, 40, 6, 40, 3, 40)
 BATCH_SIZE = 8
 
 
-def make_shards(rng, sizes=SHARD_SIZES):
+def make_shards(rng, sizes=SHARD_SIZES, feature_shape=(FEATURES,)):
     return [
-        TensorDataset(rng.normal(size=(n, FEATURES)), rng.integers(0, CLASSES, size=n))
+        TensorDataset(rng.normal(size=(n, *feature_shape)), rng.integers(0, CLASSES, size=n))
         for n in sizes
     ]
 
@@ -49,10 +49,12 @@ def make_clients(shards):
 
 
 def run_once(algorithm, batched, rng_seed=0, clients_factory=make_clients,
-             model_factory=None, rounds=3, participation=None):
+             model_factory=None, rounds=3, participation=None, feature_shape=(FEATURES,)):
     rng = np.random.default_rng(rng_seed)
-    shards = make_shards(rng)
-    test_set = TensorDataset(rng.normal(size=(30, FEATURES)), rng.integers(0, CLASSES, size=30))
+    shards = make_shards(rng, feature_shape=feature_shape)
+    test_set = TensorDataset(
+        rng.normal(size=(30, *feature_shape)), rng.integers(0, CLASSES, size=30)
+    )
     model_factory = model_factory or (
         lambda: MLP(FEATURES, CLASSES, hidden=(16, 8), rng=np.random.default_rng(7))
     )
@@ -82,12 +84,11 @@ class TestBitIdentity:
         bat = run_once("fedavg", batched=True, rounds=4, participation=UniformSampling(0.5))
         assert all(np.array_equal(a, b) for a, b in zip(seq.final_params, bat.final_params))
 
-    @pytest.mark.parametrize("algorithm", ["taco", "scaffold", "stem", "fedprox"])
+    @pytest.mark.parametrize("algorithm", algorithm_names())
     def test_correction_algorithms_match(self, algorithm):
         seq = run_once(algorithm, batched=False)
         bat = run_once(algorithm, batched=True)
-        for a, b in zip(seq.final_params, bat.final_params):
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        assert seq.final_params.tobytes() == bat.final_params.tobytes()
 
 
 class TestFallbacks:
@@ -107,11 +108,25 @@ class TestFallbacks:
         class CustomMLP(MLP):
             pass  # exact-type dispatch: subclasses must opt in themselves
 
-        factory = lambda: CustomMLP(FEATURES, CLASSES, hidden=(16, 8), rng=np.random.default_rng(7))
-        assert BatchedCohortExecutor.try_build(factory()) is None
-        seq = run_once("fedavg", batched=False, model_factory=factory)
-        bat = run_once("fedavg", batched=True, model_factory=factory)
-        assert all(np.array_equal(a, b) for a, b in zip(seq.final_params, bat.final_params))
+        cases = [
+            (
+                lambda: CustomMLP(FEATURES, CLASSES, hidden=(16, 8), rng=np.random.default_rng(7)),
+                (FEATURES,),
+            ),
+            (
+                lambda: PaperCNN(
+                    num_classes=CLASSES, width_multiplier=0.25, rng=np.random.default_rng(7)
+                ),
+                (1, 28, 28),
+            ),
+        ]
+        for factory, feature_shape in cases:
+            assert BatchedCohortExecutor.try_build(factory()) is None
+            seq = run_once("fedavg", batched=False, model_factory=factory,
+                           rounds=2, feature_shape=feature_shape)
+            bat = run_once("fedavg", batched=True, model_factory=factory,
+                           rounds=2, feature_shape=feature_shape)
+            assert seq.final_params.tobytes() == bat.final_params.tobytes()
 
     def test_executor_preserves_job_order(self):
         rng = np.random.default_rng(0)
@@ -133,7 +148,7 @@ class TestFallbacks:
 class TestMemoryFootprint:
     def test_arena_peak_is_step_independent(self):
         """Peak extra memory is O(K*P) + per-step workspace, not O(steps)."""
-        model = PaperCNN(width_multiplier=0.25, rng=np.random.default_rng(7))
+        model = MLP(28 * 28, 10, hidden=(32, 16, 8), rng=np.random.default_rng(7))
         rng = np.random.default_rng(0)
         shards = [
             TensorDataset(rng.normal(size=(8, 1, 28, 28)), rng.integers(0, 10, size=8))

@@ -135,6 +135,17 @@ class TestCommands:
         assert payload["guard"]["skips"] == 0
         assert payload["guard"]["aborted"] is False
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--clients", "0"],
+        ["run", "--rounds", "0"],
+        ["compare", "--clients", "10", "--freeloaders", "50"],
+    ])
+    def test_invalid_config_is_usage_error(self, argv, capsys):
+        assert main([*argv, "--dataset", "adult"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1  # one line, no traceback
+
     def test_seed_flag_changes_run(self, capsys):
         main(["run", "--algorithm", "fedavg", "--json", *self.COMMON, "--seed", "1"])
         first = json.loads(capsys.readouterr().out)
