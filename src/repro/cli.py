@@ -177,6 +177,15 @@ def _add_checkpoint_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _checkpoint_flags_error(args: argparse.Namespace) -> Optional[str]:
+    """The usage error in a command's checkpoint flags, if any."""
+    if args.resume and not args.checkpoint_dir:
+        return "--resume requires --checkpoint-dir"
+    if args.checkpoint_every and not args.checkpoint_dir:
+        return "--checkpoint-every requires --checkpoint-dir"
+    return None
+
+
 def _fault_plan_from_args(args: argparse.Namespace, config: ExperimentConfig) -> Optional[FaultPlan]:
     if not (args.drop_rate or args.corrupt_rate or args.straggler_rate or args.transient_rate):
         return None
@@ -260,11 +269,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.resume and not args.checkpoint_dir:
-        print("--resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
-    if args.checkpoint_every and not args.checkpoint_dir:
-        print("--checkpoint-every requires --checkpoint-dir", file=sys.stderr)
+    checkpoint_error = _checkpoint_flags_error(args)
+    if checkpoint_error:
+        print(checkpoint_error, file=sys.stderr)
         return 2
     try:
         fault_plan = _fault_plan_from_args(args, config)
@@ -406,11 +413,9 @@ def cmd_federate(args: argparse.Namespace) -> int:
         for attr, field in mapping.items()
         if getattr(args, attr, None) is not None
     }
-    if args.resume and not args.checkpoint_dir:
-        print("--resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
-    if args.checkpoint_every and not args.checkpoint_dir:
-        print("--checkpoint-every requires --checkpoint-dir", file=sys.stderr)
+    checkpoint_error = _checkpoint_flags_error(args)
+    if checkpoint_error:
+        print(checkpoint_error, file=sys.stderr)
         return 2
     try:
         config = base.with_overrides(**overrides)

@@ -76,16 +76,13 @@ from ..fl.degradation import (
     REASON_LOST,
     REASON_STALE,
     DegradationPolicy,
-    validate_updates,
 )
-from ..fl.history import RoundRecord, TrainingHistory
+from ..fl.engine import RoundEngine, SimulationResult
+from ..fl.history import RoundRecord
 from ..fl.metrics import evaluate
 from ..fl.sampling import ParticipationScheme, ReservoirSampling
-from ..fl.server import Server
-from ..fl.simulation import SimulationResult
 from ..fl.state import ClientUpdate
 from ..fl.timing import CostModel
-from ..introspect import get_introspector
 from ..network.model import NetworkModel
 from ..network.plan import NetworkPlan
 from ..network.traffic import ArrivalTrace
@@ -130,8 +127,29 @@ class FlushEvent:
     stale_dropped: List[int] = field(default_factory=list)
 
 
-class AsyncCoordinator:
+@dataclass
+class FlushTally:
+    """What happened to dispatches between two flushes; feeds the RoundRecord.
+
+    Everything but ``abandoned`` stays empty on the perfect-wire path.
+    """
+
+    abandoned: List[int] = field(default_factory=list)  # straggler deadline
+    quarantined: Dict[int, str] = field(default_factory=dict)  # lease lost / late
+    dropped: List[int] = field(default_factory=list)  # retry-exhausted
+    retried: Dict[int, int] = field(default_factory=dict)  # client -> retries
+    duplicated: List[int] = field(default_factory=list)  # deduplicated copies
+    deliveries: Dict[str, int] = field(default_factory=dict)  # outcome -> count
+    uplink_bytes: int = 0
+    downlink_bytes: int = 0
+
+
+class AsyncCoordinator(RoundEngine):
     """Buffered semi-async federated training over a client registry.
+
+    The run lifecycle (resume, divergence, checkpoint and evaluation
+    cadence, round records) is :class:`~repro.fl.engine.RoundEngine`'s,
+    shared with the synchronous simulation; one flush is one round.
 
     Parameters
     ----------
@@ -170,6 +188,8 @@ class AsyncCoordinator:
         loop is bit-identical and does zero extra work.
     """
 
+    aggregate_span = "federation.flush"
+
     def __init__(
         self,
         registry: ClientRegistry,
@@ -195,22 +215,22 @@ class AsyncCoordinator:
             raise ValueError(f"buffer_size must be >= 1, got {buffer_size}")
         if staleness_power < 0:
             raise ValueError(f"staleness_power must be >= 0, got {staleness_power}")
+        super().__init__(
+            model if model is not None else registry.make_model(),
+            strategy,
+            test_set,
+            num_clients=len(registry),
+            global_lr=global_lr,
+            cost_model=cost_model,
+            degradation=degradation,
+            eval_every=eval_every,
+            seed=seed,
+        )
         self.registry = registry
-        self.strategy = strategy
-        self.test_set = test_set
         self.cohort_size = int(cohort_size)
         self.buffer_size = int(buffer_size) if buffer_size is not None else int(cohort_size)
         self.participation = participation or ReservoirSampling(self.cohort_size)
-        self.global_lr = (
-            global_lr if global_lr is not None else strategy.local_steps * strategy.local_lr
-        )
-        self.cost_model = cost_model or CostModel()
-        self.degradation = degradation
         self.staleness_power = float(staleness_power)
-        self.eval_every = max(1, eval_every)
-        self.seed = int(seed)
-        self.rng = np.random.default_rng(seed)
-        self.model = model if model is not None else registry.make_model()
 
         # An inert plan is indistinguishable from no plan at all: the
         # delivery machinery below is bypassed entirely (bit-identity).
@@ -222,8 +242,6 @@ class AsyncCoordinator:
         self.delivery_tracing = bool(delivery_tracing)
         self.delivery_recorder = None  # built in run() when tracing is on
 
-        self.server = Server(self.model.parameters_vector(), self.global_lr, len(registry))
-        self.history = TrainingHistory()
         self.flush_log: List[FlushEvent] = []
 
         # Virtual-time event loop state.
@@ -233,23 +251,14 @@ class AsyncCoordinator:
         self._clock = 0.0
         self._seq = 0  # dispatch sequence; the deterministic heap tie-break
         self._last_flush_clock = 0.0
-        self._abandoned_since_flush: List[int] = []
+        self._since_flush = FlushTally()
         self._expelled_seen: set = set()
-        self._cumulative_sim_time = 0.0
-        self._last_evaluated_round = -1
 
         # Delivery-semantics state (only touched under an active plan).
         self._delivery_seq = 0  # per-dispatch idempotency key
         self._delivered: set = set()  # delivery ids accepted into the buffer
         self._revoked: set = set()  # delivery ids the server gave up on
         self._trace_pos = 0  # next unplayed burst of arrival_trace
-        self._quarantined_since_flush: Dict[int, str] = {}
-        self._dropped_since_flush: List[int] = []
-        self._retried_since_flush: Dict[int, int] = {}
-        self._duplicated_since_flush: List[int] = []
-        self._deliveries_since_flush: Dict[str, int] = {}
-        self._uplink_bytes_since_flush = 0
-        self._downlink_bytes_since_flush = 0
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -344,7 +353,7 @@ class AsyncCoordinator:
                 if deadline is not None and update.sim_time > deadline:
                     # Straggler abandonment: the server will not wait for
                     # this upload; the device's work is lost.
-                    self._abandoned_since_flush.append(client_id)
+                    self._since_flush.abandoned.append(client_id)
                     telemetry.counter("federation.abandoned").add(1)
                     if self.delivery_recorder is not None:
                         key = self._open_trace(
@@ -358,20 +367,17 @@ class AsyncCoordinator:
                 if self._network_model is not None:
                     enqueued += self._dispatch_networked(client_id, state.round, update)
                     continue
-                pending = PendingUpload(
-                    client_id=client_id,
-                    dispatch_version=state.round,
-                    dispatch_time=self._clock,
-                    arrival_time=self._clock + update.sim_time,
-                    update=update,
-                )
+                arrival_time = self._clock + update.sim_time
+                trace_key = -1
                 if self.delivery_recorder is not None:
-                    pending.trace_key = self._open_trace(
+                    trace_key = self._open_trace(
                         client_id, state.round, self._clock,
-                        update.sim_time, arrival_time=pending.arrival_time,
+                        update.sim_time, arrival_time=arrival_time,
                     )
-                heapq.heappush(self._events, (pending.arrival_time, self._seq, pending))
-                self._seq += 1
+                self._push_event(
+                    client_id, state.round, arrival_time, update,
+                    delivery_id=-1, trace_key=trace_key,
+                )
                 self._pending_ids.add(client_id)
                 enqueued += 1
         telemetry.counter("federation.dispatched").add(enqueued)
@@ -380,11 +386,12 @@ class AsyncCoordinator:
         return enqueued
 
     # ------------------------------------------------------------------
-    # Delivery semantics (active network plan only)
+    # Events, traces, and delivery semantics (the last under an active
+    # network plan only)
     # ------------------------------------------------------------------
     def _count_delivery(self, outcome: str, count: int = 1) -> None:
-        self._deliveries_since_flush[outcome] = (
-            self._deliveries_since_flush.get(outcome, 0) + count
+        self._since_flush.deliveries[outcome] = (
+            self._since_flush.deliveries.get(outcome, 0) + count
         )
 
     def _open_trace(
@@ -451,13 +458,13 @@ class AsyncCoordinator:
             delivery_id, client_id, self._clock, update.sim_time
         )
         self._count_delivery("dispatched")
-        self._downlink_bytes_since_flush += int(
+        self._since_flush.downlink_bytes += int(
             self.server.state.global_params.nbytes
         )
         payload_bytes = int(update.delta.nbytes)
         # Every send attempt (retries included) burns uplink bytes, even
         # the ones the wire drops — that is what retry traffic costs.
-        self._uplink_bytes_since_flush += payload_bytes * max(outcome.attempts, 1)
+        self._since_flush.uplink_bytes += payload_bytes * max(outcome.attempts, 1)
 
         compute_start = self._clock + outcome.decision.downlink_delay
         if outcome.lost:
@@ -486,8 +493,8 @@ class AsyncCoordinator:
 
         if outcome.attempts > 1:
             retried = outcome.attempts - 1
-            self._retried_since_flush[client_id] = (
-                self._retried_since_flush.get(client_id, 0) + retried
+            self._since_flush.retried[client_id] = (
+                self._since_flush.retried.get(client_id, 0) + retried
             )
             self._count_delivery("retried", retried)
             telemetry.counter("network.retries").add(retried)
@@ -509,7 +516,7 @@ class AsyncCoordinator:
         if outcome.duplicate_time is not None:
             # The at-least-once copy: arrives later, is never buffered, so
             # it needs no payload — only the id the server deduplicates on.
-            self._uplink_bytes_since_flush += payload_bytes
+            self._since_flush.uplink_bytes += payload_bytes
             self._count_delivery("duplicate_copies")
             telemetry.counter("network.duplicates").add(1)
             self._push_event(
@@ -551,17 +558,17 @@ class AsyncCoordinator:
             if pending.lost:
                 # Retry-exhausted: the upload is gone for good — account it
                 # with the crashes/retry-exhausted drops.
-                self._dropped_since_flush.append(pending.client_id)
+                self._since_flush.dropped.append(pending.client_id)
             else:
                 # Lease expiry: the server revokes a delivery that may still
                 # arrive (and will then be rejected as late).
-                self._quarantined_since_flush[pending.client_id] = REASON_LOST
+                self._since_flush.quarantined[pending.client_id] = REASON_LOST
                 self._count_delivery("lease_expired")
                 telemetry.counter("network.lease_expired").add(1)
             return False
         if pending.delivery_id in self._revoked:
             if not pending.duplicate:
-                self._quarantined_since_flush[pending.client_id] = REASON_LATE
+                self._since_flush.quarantined[pending.client_id] = REASON_LATE
                 if self.delivery_recorder is not None and pending.trace_key >= 0:
                     self.delivery_recorder.close(
                         pending.trace_key, pending.arrival_time, "late"
@@ -572,7 +579,7 @@ class AsyncCoordinator:
         if pending.delivery_id in self._delivered:
             # At-least-once copy of an already-accepted delivery: idempotent
             # aggregation means it never reaches the buffer.
-            self._duplicated_since_flush.append(pending.client_id)
+            self._since_flush.duplicated.append(pending.client_id)
             self._count_delivery("deduplicated")
             telemetry.counter("network.deduplicated").add(1)
             return False
@@ -615,14 +622,9 @@ class AsyncCoordinator:
     def _flush(self) -> RoundRecord:
         """Aggregate the buffer into one server round."""
         telemetry = get_telemetry()
-        state = self.server.state
-        round_index = state.round
+        round_index = self.server.state.round
         flush_started = time.perf_counter()
-        introspector = get_introspector()
-        if introspector.enabled:
-            introspector.begin_round(
-                round_index, getattr(self.strategy, "name", type(self.strategy).__name__)
-            )
+        self._begin_round(round_index)
 
         # Flush in (dispatch version, client id) order: within one version
         # this is the synchronous loop's sorted-participants order, which
@@ -654,22 +656,8 @@ class AsyncCoordinator:
         if stale_dropped:
             telemetry.counter("federation.stale_dropped").add(len(stale_dropped))
 
-        skipped = False
-        if self.degradation is not None:
-            updates, gate_quarantined = validate_updates(updates, state.dim, self.degradation)
-            quarantined.update(gate_quarantined)
-            if len(updates) < self.degradation.min_quorum:
-                skipped = True
-        elif not updates:
-            skipped = True
-
-        with telemetry.span(
-            "federation.flush", round=round_index, updates=len(updates), skipped=skipped
-        ):
-            if skipped:
-                self.server.skip_round()
-            else:
-                self.server.run_aggregation(self.strategy, updates)
+        updates, gate_quarantined, skipped = self._aggregate(round_index, updates)
+        quarantined.update(gate_quarantined)
         telemetry.counter("federation.flushes").add(1)
         telemetry.counter("federation.arrived").add(len(batch))
 
@@ -697,53 +685,31 @@ class AsyncCoordinator:
         self._cumulative_sim_time = self._clock
         if telemetry.enabled:
             telemetry.gauge("federation.virtual_time").set(self._clock)
-
-        if (round_index + 1) % self.eval_every == 0 or not len(self.history):
-            with telemetry.span("evaluate", round=round_index):
-                self.model.load_vector(self.server.state.global_params)
-                accuracy, loss = evaluate(self.model, self.test_set)
-            self._last_evaluated_round = round_index
-        else:
-            accuracy = self.history.records[-1].test_accuracy
-            loss = self.history.records[-1].test_loss
+        metrics = self._evaluate_round(round_index)
 
         # Network delivery semantics accumulated since the last flush:
         # lease revocations and late arrivals quarantine, retry-exhausted
         # losses drop (all empty on the perfect-wire path).
-        quarantined.update(self._quarantined_since_flush)
-
-        alphas = {} if skipped else dict(getattr(self.strategy, "last_alphas", {}) or {})
-        record = RoundRecord(
-            round=round_index,
-            test_accuracy=accuracy,
-            test_loss=loss,
-            round_sim_time=round_sim,
-            cumulative_sim_time=self._cumulative_sim_time,
-            round_wall_time=time.perf_counter() - flush_started,
+        quarantined.update(self._since_flush.quarantined)
+        record = self._close_round(
+            round_index,
+            flush_started,
+            updates,
+            skipped,
+            metrics,
+            round_sim,
             participating=[p.client_id for p in batch],
-            alphas=alphas,
             expelled=expelled,
-            update_norms={u.client_id: u.delta_norm for u in updates},
-            dropped=sorted(self._dropped_since_flush),
+            dropped=sorted(self._since_flush.dropped),
             quarantined=quarantined,
-            stragglers=list(self._abandoned_since_flush),
-            retries=dict(sorted(self._retried_since_flush.items())),
-            duplicated=sorted(self._duplicated_since_flush),
-            deliveries=dict(sorted(self._deliveries_since_flush.items())),
-            aggregated=0 if skipped else len(updates),
-            skipped=skipped,
-            uplink_bytes=self._uplink_bytes_since_flush,
-            downlink_bytes=self._downlink_bytes_since_flush,
+            stragglers=list(self._since_flush.abandoned),
+            retries=dict(sorted(self._since_flush.retried.items())),
+            duplicated=sorted(self._since_flush.duplicated),
+            deliveries=dict(sorted(self._since_flush.deliveries.items())),
+            uplink_bytes=self._since_flush.uplink_bytes,
+            downlink_bytes=self._since_flush.downlink_bytes,
         )
-        self._abandoned_since_flush = []
-        self._quarantined_since_flush = {}
-        self._dropped_since_flush = []
-        self._retried_since_flush = {}
-        self._duplicated_since_flush = []
-        self._deliveries_since_flush = {}
-        self._uplink_bytes_since_flush = 0
-        self._downlink_bytes_since_flush = 0
-        self.history.append(record)
+        self._since_flush = FlushTally()
         self.flush_log.append(
             FlushEvent(
                 version=round_index,
@@ -754,12 +720,6 @@ class AsyncCoordinator:
                 stale_dropped=stale_dropped,
             )
         )
-        if introspector.enabled:
-            introspector.scalar("server.test_accuracy", record.test_accuracy)
-            introspector.scalar("server.test_loss", record.test_loss)
-            introspector.scalar("server.aggregated", float(record.aggregated))
-            introspector.per_client("server.update_norm", dict(record.update_norms))
-            introspector.end_round()
         return record
 
     def _newly_expelled(self) -> List[int]:
@@ -797,25 +757,6 @@ class AsyncCoordinator:
         """
         from . import persist  # deferred; persist imports this module's types
 
-        if rounds <= 0:
-            raise ValueError(f"rounds must be positive, got {rounds}")
-        if checkpoint_every < 0:
-            raise ValueError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
-        if checkpoint_every and checkpoint_dir is None:
-            raise ValueError("checkpoint_every requires checkpoint_dir")
-
-        if resume_from is not None:
-            completed = persist.load_coordinator(self, resume_from)
-            if completed > rounds:
-                raise ValueError(
-                    f"checkpoint already has {completed} rounds, cannot run to {rounds}"
-                )
-        else:
-            self.strategy.reset()
-            self.registry.reset()
-            get_telemetry().reset()
-            get_introspector().reset()
-
         if self.delivery_tracing and self.delivery_recorder is None:
             # Deferred import: repro.serving's load-test harness imports
             # this module, so binding at call time avoids the cycle.
@@ -825,107 +766,62 @@ class AsyncCoordinator:
             self.delivery_recorder = DeliveryTraceRecorder(
                 tracer=telemetry.tracer if telemetry.enabled else None
             )
-
-        run_started = time.perf_counter()
-        diverged = False
-        while self.server.state.round < rounds:
-            next_burst = self._next_burst_time()
-            if next_burst is not None:
-                # Open-loop replay: the trace decides when clients show up.
-                next_burst = self._pump_trace()
-            elif len(self._buffer) < self.buffer_size:
-                self._dispatch()
-                # A deadline can abandon an entire dispatch; redraw a few
-                # cohorts (each consumes the selection RNG, so this stays
-                # deterministic) before declaring the loop stalled.
-                for _ in range(32):
-                    if self._events or self._buffer:
-                        break
-                    self._dispatch()
-                else:
-                    raise RuntimeError(
-                        "event loop stalled: every dispatched client was "
-                        "abandoned (round_deadline too tight for the "
-                        "population's speed tiers)"
-                    )
-            if self._events:
-                while self._events and len(self._buffer) < self.buffer_size:
-                    if next_burst is not None and self._events[0][0] > next_burst:
-                        break  # a trace burst is due before the next event
-                    arrival_time, _, pending = heapq.heappop(self._events)
-                    self._clock = arrival_time
-                    self._absorb(pending)
-            if len(self._buffer) >= self.buffer_size or (
-                not self._events and next_burst is None
-            ):
-                record = self._flush()
-                if not np.isfinite(record.test_loss) or not np.isfinite(
-                    self.server.state.global_params
-                ).all():
-                    diverged = True
-                    break
-                if (
-                    checkpoint_every
-                    and checkpoint_dir is not None
-                    and self.server.state.round % checkpoint_every == 0
-                ):
-                    persist.save_coordinator(self, checkpoint_dir)
-
-        final_params = self.server.state.global_params.copy()
-        self._refresh_final_metrics(final_params, diverged)
-        output_params = self.strategy.final_output(self.server.state).copy()
-        self.model.load_vector(final_params)
-        final_accuracy = self.history.final_accuracy if len(self.history) else 0.0
-        if np.isfinite(output_params).all():
-            self.model.load_vector(output_params)
-            output_accuracy, _ = evaluate(self.model, self.test_set)
-        else:
-            output_accuracy = 0.0
-        self.model.load_vector(final_params)
-        introspector = get_introspector()
-        result = SimulationResult(
-            history=self.history,
-            final_params=final_params,
-            output_params=output_params,
-            final_accuracy=final_accuracy,
-            output_accuracy=output_accuracy,
-            diverged=diverged,
-            elapsed_seconds=time.perf_counter() - run_started,
-            diagnostics=list(introspector.records) if introspector.enabled else [],
+        return self._run(
+            rounds,
+            checkpoint_every,
+            checkpoint_dir,
+            resume_from,
+            record_path,
+            save=persist.save_coordinator,
+            load=persist.load_coordinator,
         )
-        if record_path is not None:
-            from ..runrecord import build_run_record, write_run_record
 
-            write_run_record(
-                build_run_record(
-                    result,
-                    algorithm=getattr(self.strategy, "name", "unknown"),
-                    serving=self.serving_summary(),
-                ),
-                record_path,
-            )
-        return result
+    def _start_fresh(self) -> None:
+        super()._start_fresh()
+        self.registry.reset()
+
+    def _evaluate(self, params: np.ndarray):
+        self.model.load_vector(params)
+        return evaluate(self.model, self.test_set)
+
+    def _step(self) -> Optional[RoundRecord]:
+        """Dispatch, deliver, and flush once the buffer is full (or drained)."""
+        next_burst = self._next_burst_time()
+        if next_burst is not None:
+            # Open-loop replay: the trace decides when clients show up.
+            next_burst = self._pump_trace()
+        elif len(self._buffer) < self.buffer_size:
+            self._dispatch()
+            # A deadline can abandon an entire dispatch; redraw a few
+            # cohorts (each consumes the selection RNG, so this stays
+            # deterministic) before declaring the loop stalled.
+            for _ in range(32):
+                if self._events or self._buffer:
+                    break
+                self._dispatch()
+            else:
+                raise RuntimeError(
+                    "event loop stalled: every dispatched client was "
+                    "abandoned (round_deadline too tight for the "
+                    "population's speed tiers)"
+                )
+        while self._events and len(self._buffer) < self.buffer_size:
+            if next_burst is not None and self._events[0][0] > next_burst:
+                break  # a trace burst is due before the next event
+            arrival_time, _, pending = heapq.heappop(self._events)
+            self._clock = arrival_time
+            self._absorb(pending)
+        if len(self._buffer) >= self.buffer_size or (
+            not self._events and next_burst is None
+        ):
+            return self._flush()
+        return None
 
     def serving_summary(self) -> Optional[Dict[str, Any]]:
         """Virtual-time delivery-trace summary, or None when tracing is off."""
         if self.delivery_recorder is None:
             return None
         return self.delivery_recorder.summary()
-
-    def _refresh_final_metrics(self, final_params: np.ndarray, diverged: bool) -> None:
-        """Force a final evaluation when ``eval_every`` skipped the last flush."""
-        if diverged or not len(self.history):
-            return
-        last = self.history.records[-1]
-        if last.round == self._last_evaluated_round:
-            return
-        if not np.isfinite(final_params).all():
-            return
-        self.model.load_vector(final_params)
-        accuracy, loss = evaluate(self.model, self.test_set)
-        last.test_accuracy = accuracy
-        last.test_loss = loss
-        self._last_evaluated_round = last.round
 
     # ------------------------------------------------------------------
     @property

@@ -1,13 +1,14 @@
 """Checkpoint/resume for the async coordinator.
 
-Same portable format as :mod:`repro.fl.checkpoint` (``arrays.npz`` +
-``meta.json`` + ``history.json``) and the same flattening/RNG helpers, so
-the two checkpointing layers share one serialisation contract.  The extra
-state here is the event loop itself: the virtual clock, the dispatch
-sequence counter, the registry's saved per-client RNG stream positions,
-and every in-flight :class:`~repro.federation.coordinator.PendingUpload`
-*including its already-computed update* — local work done before the
-checkpoint is never re-executed, so a resumed run replays bit-exactly.
+The server, model, strategy, counters and history go through the shared
+core of :mod:`repro.fl.checkpoint` (:func:`~repro.fl.checkpoint.save_run`
+/ :func:`~repro.fl.checkpoint.restore_run`), exactly as for the
+synchronous engine.  The extra state here is the event loop itself: the
+virtual clock, the dispatch sequence counter, the registry's saved
+per-client RNG stream positions, and every in-flight
+:class:`~repro.federation.coordinator.PendingUpload` *including its
+already-computed update* — local work done before the checkpoint is never
+re-executed, so a resumed run replays bit-exactly.
 
 Checkpoints are written at flush boundaries (the arrival buffer is empty
 then), but in-flight uploads dispatched against earlier versions are part
@@ -35,21 +36,15 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from ..fl.checkpoint import (
-    ARRAYS_FILE,
-    HISTORY_FILE,
-    META_FILE,
     STATE_SEP,
     flatten_state,
-    load_history,
-    restore_rng,
-    rng_state,
-    save_history,
+    read_meta,
+    restore_run,
+    save_run,
     unflatten_state,
 )
 from ..fl.state import ClientUpdate
-from .coordinator import AsyncCoordinator, FlushEvent, PendingUpload
-
-_SEP = STATE_SEP
+from .coordinator import AsyncCoordinator, FlushEvent, FlushTally, PendingUpload
 
 #: Bumped when the on-disk coordinator layout changes incompatibly.
 #: Version 2 added network delivery state; version 1 loads with defaults.
@@ -64,91 +59,63 @@ def _plan_fingerprint(plan) -> Optional[Dict[str, Any]]:
     return json.loads(json.dumps(dataclasses.asdict(plan)))
 
 
+#: PendingUpload fields stored as meta scalars; the update's arrays are
+#: stored apart, and trace handles do not survive a restart.
+_EVENT_FIELDS = (
+    "client_id",
+    "dispatch_version",
+    "dispatch_time",
+    "arrival_time",
+    "delivery_id",
+    "kind",
+    "attempts",
+    "duplicate",
+    "lost",
+)
+_UPDATE_FIELDS = ("num_samples", "num_steps", "sim_time", "wall_time")
+
+
 def _pending_scalars(pending: PendingUpload) -> Dict[str, Any]:
-    entry: Dict[str, Any] = {
-        "client_id": pending.client_id,
-        "dispatch_version": pending.dispatch_version,
-        "dispatch_time": pending.dispatch_time,
-        "arrival_time": pending.arrival_time,
-        "delivery_id": pending.delivery_id,
-        "kind": pending.kind,
-        "attempts": pending.attempts,
-        "duplicate": pending.duplicate,
-        "lost": pending.lost,
-        "has_update": pending.update is not None,
-    }
+    entry = {name: getattr(pending, name) for name in _EVENT_FIELDS}
+    entry["has_update"] = pending.update is not None
     if pending.update is not None:
-        entry.update(
-            {
-                "num_samples": pending.update.num_samples,
-                "num_steps": pending.update.num_steps,
-                "sim_time": pending.update.sim_time,
-                "wall_time": pending.update.wall_time,
-            }
-        )
+        entry.update({name: getattr(pending.update, name) for name in _UPDATE_FIELDS})
     return entry
 
 
 def save_coordinator(coordinator: AsyncCoordinator, directory) -> Path:
     """Persist a coordinator's complete state at a flush boundary."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    state = coordinator.server.state
-
-    arrays: Dict[str, np.ndarray] = {f"server{_SEP}global_params": state.global_params}
-    if state.prev_global_params is not None:
-        arrays[f"server{_SEP}prev_global_params"] = state.prev_global_params
-    if state.global_delta is not None:
-        arrays[f"server{_SEP}global_delta"] = state.global_delta
-    for key, value in coordinator.model.state_dict().items():
-        arrays[f"model{_SEP}{key}"] = value
-
-    strategy_arrays: Dict[str, np.ndarray] = {}
-    strategy_scalars: Dict[str, Any] = {}
-    for key, value in coordinator.strategy.state_dict().items():
-        flatten_state(value, key, strategy_arrays, strategy_scalars)
-    for key, value in strategy_arrays.items():
-        arrays[f"strategy{_SEP}{key}"] = value
+    arrays: Dict[str, np.ndarray] = {}
+    events_meta: List[Dict[str, Any]] = []
 
     # In-flight uploads: heap entries first (in heap-array order — the heap
     # invariant is rebuilt on load), then any buffered arrivals.  Payload
     # arrays exist only for events that carry one (duplicate copies and
     # lease events do not), so each update is stored exactly once.
-    def store_event(index: int, pending: PendingUpload, entry: Dict[str, Any]) -> None:
+    queued = [(seq, pending) for _, seq, pending in coordinator._events]
+    queued += [(-1, pending) for pending in coordinator._buffer]
+    for index, (seq, pending) in enumerate(queued):
+        entry = _pending_scalars(pending)
+        entry["seq"] = seq
+        entry["buffered"] = seq < 0
         events_meta.append(entry)
         if pending.update is None:
-            return
-        arrays[f"event{_SEP}{index}{_SEP}delta"] = pending.update.delta
+            continue
+        prefix = f"event{STATE_SEP}{index}{STATE_SEP}"
+        arrays[prefix + "delta"] = pending.update.delta
         extras_arrays: Dict[str, np.ndarray] = {}
         extras_scalars: Dict[str, Any] = {}
         flatten_state(pending.update.extras, "extras", extras_arrays, extras_scalars)
         for key, value in extras_arrays.items():
-            arrays[f"event{_SEP}{index}{_SEP}{key}"] = value
+            arrays[prefix + key] = value
         entry["extras_scalars"] = extras_scalars
-
-    events_meta: List[Dict[str, Any]] = []
-    for index, (_, seq, pending) in enumerate(coordinator._events):
-        entry = _pending_scalars(pending)
-        entry["seq"] = seq
-        entry["buffered"] = False
-        store_event(index, pending, entry)
-    offset = len(events_meta)
-    for index, pending in enumerate(coordinator._buffer, start=offset):
-        entry = _pending_scalars(pending)
-        entry["seq"] = -1
-        entry["buffered"] = True
-        store_event(index, pending, entry)
 
     meta = {
         "persist_version": PERSIST_VERSION,
-        "round": state.round,
         "population": len(coordinator.registry),
         "clock": coordinator._clock,
         "seq": coordinator._seq,
         "last_flush_clock": coordinator._last_flush_clock,
-        "cumulative_sim_time": coordinator._cumulative_sim_time,
-        "last_evaluated_round": coordinator._last_evaluated_round,
-        "abandoned_since_flush": list(coordinator._abandoned_since_flush),
         "expelled_seen": sorted(coordinator._expelled_seen),
         "network_plan": _plan_fingerprint(coordinator.network),
         "pending_ids": sorted(coordinator._pending_ids),
@@ -156,44 +123,20 @@ def save_coordinator(coordinator: AsyncCoordinator, directory) -> Path:
         "delivered": sorted(coordinator._delivered),
         "revoked": sorted(coordinator._revoked),
         "trace_pos": coordinator._trace_pos,
-        "quarantined_since_flush": {
-            str(cid): reason
-            for cid, reason in coordinator._quarantined_since_flush.items()
+        **{
+            f"{name}_since_flush": value
+            for name, value in vars(coordinator._since_flush).items()
         },
-        "dropped_since_flush": list(coordinator._dropped_since_flush),
-        "retried_since_flush": {
-            str(cid): count
-            for cid, count in coordinator._retried_since_flush.items()
-        },
-        "duplicated_since_flush": list(coordinator._duplicated_since_flush),
-        "deliveries_since_flush": dict(coordinator._deliveries_since_flush),
-        "uplink_bytes_since_flush": coordinator._uplink_bytes_since_flush,
-        "downlink_bytes_since_flush": coordinator._downlink_bytes_since_flush,
-        "strategy_scalars": strategy_scalars,
         "events": events_meta,
         "rng_states": {
-            "coordinator": rng_state(coordinator.rng),
+            "coordinator": coordinator.rng.bit_generator.state,
             "clients": {
                 str(cid): st for cid, st in coordinator.registry._rng_states.items()
             },
         },
-        "flush_log": [
-            {
-                "version": e.version,
-                "virtual_time": e.virtual_time,
-                "arrivals": list(e.arrivals),
-                "staleness": {str(k): v for k, v in e.staleness.items()},
-                "weights": {str(k): v for k, v in e.weights.items()},
-                "stale_dropped": list(e.stale_dropped),
-            }
-            for e in coordinator.flush_log
-        ],
+        "flush_log": [vars(event) for event in coordinator.flush_log],
     }
-
-    np.savez(directory / ARRAYS_FILE, **arrays)
-    (directory / META_FILE).write_text(json.dumps(meta, indent=2))
-    save_history(coordinator.history, directory / HISTORY_FILE)
-    return directory
+    return save_run(coordinator, directory, "async", arrays, meta)
 
 
 def load_coordinator(coordinator: AsyncCoordinator, directory) -> int:
@@ -203,9 +146,7 @@ def load_coordinator(coordinator: AsyncCoordinator, directory) -> int:
     one (same registry parameters, strategy type, cohort/buffer sizes,
     seed); everything mutable is overwritten.
     """
-    directory = Path(directory)
-    archive = np.load(directory / ARRAYS_FILE)
-    meta = json.loads((directory / META_FILE).read_text())
+    meta = read_meta(directory, "async")
     if meta.get("persist_version") not in _LOADABLE_VERSIONS:
         raise ValueError(
             f"checkpoint persist_version {meta.get('persist_version')} not in "
@@ -224,44 +165,18 @@ def load_coordinator(coordinator: AsyncCoordinator, directory) -> int:
             f"{saved_plan!r}, coordinator has "
             f"{_plan_fingerprint(coordinator.network)!r})"
         )
+    groups = restore_run(coordinator, directory, meta)
 
-    grouped: Dict[str, Dict[str, np.ndarray]] = {"server": {}, "model": {}, "strategy": {}}
-    event_arrays: Dict[int, Dict[str, np.ndarray]] = {}
-    for key in archive.files:
-        group, rest = key.split(_SEP, 1)
-        if group == "event":
-            index_str, sub = rest.split(_SEP, 1)
-            event_arrays.setdefault(int(index_str), {})[sub] = archive[key]
-        else:
-            grouped[group][rest] = archive[key]
-
-    state = coordinator.server.state
-    state.global_params = grouped["server"]["global_params"].copy()
-    state.prev_global_params = (
-        grouped["server"]["prev_global_params"].copy()
-        if "prev_global_params" in grouped["server"]
-        else None
-    )
-    state.global_delta = (
-        grouped["server"]["global_delta"].copy()
-        if "global_delta" in grouped["server"]
-        else None
-    )
-    state.round = int(meta["round"])
-
-    if grouped["model"]:
-        coordinator.model.load_state_dict(grouped["model"])
-
-    coordinator.strategy.reset()
-    flat: Dict[str, Any] = dict(grouped["strategy"])
-    flat.update(meta["strategy_scalars"])
-    coordinator.strategy.load_state_dict(unflatten_state(flat))
-
-    restore_rng(coordinator.rng, meta["rng_states"]["coordinator"])
+    coordinator.rng.bit_generator.state = meta["rng_states"]["coordinator"]
     coordinator.registry.reset()
     coordinator.registry._rng_states.update(
         {int(cid): st for cid, st in meta["rng_states"]["clients"].items()}
     )
+
+    event_arrays: Dict[int, Dict[str, np.ndarray]] = {}
+    for key, value in groups.get("event", {}).items():
+        index, sub = key.split(STATE_SEP, 1)
+        event_arrays.setdefault(int(index), {})[sub] = value
 
     coordinator._events = []
     coordinator._buffer = []
@@ -276,25 +191,14 @@ def load_coordinator(coordinator: AsyncCoordinator, directory) -> int:
             extras_flat.update(entry.get("extras_scalars", {}))
             extras = unflatten_state(extras_flat).get("extras", {})
             update = ClientUpdate(
-                client_id=int(entry["client_id"]),
+                client_id=entry["client_id"],
                 delta=per_event["delta"].copy(),
-                num_samples=int(entry["num_samples"]),
-                num_steps=int(entry["num_steps"]),
-                sim_time=float(entry["sim_time"]),
-                wall_time=float(entry["wall_time"]),
                 extras=extras,
+                **{name: entry[name] for name in _UPDATE_FIELDS},
             )
+        # v1 entries predate the delivery fields, which then keep their defaults.
         pending = PendingUpload(
-            client_id=int(entry["client_id"]),
-            dispatch_version=int(entry["dispatch_version"]),
-            dispatch_time=float(entry["dispatch_time"]),
-            arrival_time=float(entry["arrival_time"]),
-            update=update,
-            delivery_id=int(entry.get("delivery_id", -1)),
-            kind=str(entry.get("kind", "deliver")),
-            attempts=int(entry.get("attempts", 1)),
-            duplicate=bool(entry.get("duplicate", False)),
-            lost=bool(entry.get("lost", False)),
+            update=update, **{name: entry[name] for name in _EVENT_FIELDS if name in entry}
         )
         if entry["buffered"]:
             coordinator._buffer.append(pending)
@@ -312,9 +216,6 @@ def load_coordinator(coordinator: AsyncCoordinator, directory) -> int:
     coordinator._clock = float(meta["clock"])
     coordinator._seq = int(meta["seq"])
     coordinator._last_flush_clock = float(meta["last_flush_clock"])
-    coordinator._cumulative_sim_time = float(meta["cumulative_sim_time"])
-    coordinator._last_evaluated_round = int(meta["last_evaluated_round"])
-    coordinator._abandoned_since_flush = [int(c) for c in meta["abandoned_since_flush"]]
     coordinator._expelled_seen = set(meta["expelled_seen"])
     # Delivery-semantics state (v1 checkpoints predate the network layer;
     # every field defaults to the pristine value).
@@ -322,38 +223,22 @@ def load_coordinator(coordinator: AsyncCoordinator, directory) -> int:
     coordinator._delivered = {int(d) for d in meta.get("delivered", [])}
     coordinator._revoked = {int(d) for d in meta.get("revoked", [])}
     coordinator._trace_pos = int(meta.get("trace_pos", 0))
-    coordinator._quarantined_since_flush = {
-        int(cid): str(reason)
-        for cid, reason in meta.get("quarantined_since_flush", {}).items()
+    tally = {
+        f.name: meta[f"{f.name}_since_flush"]
+        for f in dataclasses.fields(FlushTally)
+        if f"{f.name}_since_flush" in meta
     }
-    coordinator._dropped_since_flush = [
-        int(c) for c in meta.get("dropped_since_flush", [])
-    ]
-    coordinator._retried_since_flush = {
-        int(cid): int(count)
-        for cid, count in meta.get("retried_since_flush", {}).items()
-    }
-    coordinator._duplicated_since_flush = [
-        int(c) for c in meta.get("duplicated_since_flush", [])
-    ]
-    coordinator._deliveries_since_flush = {
-        str(key): int(count)
-        for key, count in meta.get("deliveries_since_flush", {}).items()
-    }
-    coordinator._uplink_bytes_since_flush = int(meta.get("uplink_bytes_since_flush", 0))
-    coordinator._downlink_bytes_since_flush = int(
-        meta.get("downlink_bytes_since_flush", 0)
-    )
-    coordinator.history = load_history(directory / HISTORY_FILE)
+    for name in ("quarantined", "retried"):  # JSON object keys are strings
+        tally[name] = {int(cid): value for cid, value in tally.get(name, {}).items()}
+    coordinator._since_flush = FlushTally(**tally)
     coordinator.flush_log = [
         FlushEvent(
-            version=int(item["version"]),
-            virtual_time=float(item["virtual_time"]),
-            arrivals=[int(c) for c in item["arrivals"]],
-            staleness={int(k): int(v) for k, v in item["staleness"].items()},
-            weights={int(k): float(v) for k, v in item["weights"].items()},
-            stale_dropped=[int(c) for c in item["stale_dropped"]],
+            **{
+                **item,
+                "staleness": {int(k): v for k, v in item["staleness"].items()},
+                "weights": {int(k): v for k, v in item["weights"].items()},
+            }
         )
         for item in meta["flush_log"]
     ]
-    return state.round
+    return coordinator.server.state.round

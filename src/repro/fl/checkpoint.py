@@ -5,19 +5,23 @@ capability.  Checkpoints are plain ``.npz`` archives (model parameters +
 buffers) and ``.json`` metadata (round, history), so they stay portable and
 diff-able.
 
-:func:`save_simulation` / :func:`load_simulation` extend this to the whole
-run: server state, strategy state (control variates, momenta, TACO alphas
-and strikes), every RNG stream (participation, per-client mini-batch
-samplers, transport), the transport traffic log and the training history —
-everything required for a killed run to resume **bit-exact** at the next
-round boundary.
+:func:`save_run` / :func:`restore_run` extend this to a whole run of either
+engine (:class:`~repro.fl.engine.RoundEngine`): server state, model
+buffers, strategy state (control variates, momenta, TACO alphas and
+strikes), the round and evaluation counters and the training history.
+Each engine adds its own state on top — :func:`save_simulation` the RNG
+streams, transport log and guard; ``repro.federation.persist`` the event
+loop — so a killed run resumes **bit-exact** at the next round boundary.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import zipfile
+from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Dict, Tuple
+from typing import Any, Dict
 
 import numpy as np
 
@@ -45,47 +49,11 @@ def save_history(history: TrainingHistory, path: str | Path) -> None:
     """Persist a :class:`TrainingHistory` as JSON."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    records = []
-    for record in history.records:
-        records.append(
-            {
-                "round": record.round,
-                "test_accuracy": record.test_accuracy,
-                "test_loss": record.test_loss,
-                "round_sim_time": record.round_sim_time,
-                "cumulative_sim_time": record.cumulative_sim_time,
-                "round_wall_time": record.round_wall_time,
-                "participating": list(record.participating),
-                "alphas": {str(k): v for k, v in record.alphas.items()},
-                "expelled": list(record.expelled),
-                "update_norms": {str(k): v for k, v in record.update_norms.items()},
-                "dropped": list(record.dropped),
-                "quarantined": {str(k): v for k, v in record.quarantined.items()},
-                "stragglers": list(record.stragglers),
-                "retries": {str(k): v for k, v in record.retries.items()},
-                "duplicated": list(record.duplicated),
-                "deliveries": dict(record.deliveries),
-                "aggregated": record.aggregated,
-                "skipped": record.skipped,
-                "uplink_bytes": record.uplink_bytes,
-                "downlink_bytes": record.downlink_bytes,
-                "anomalies": list(record.anomalies),
-                "recovery": record.recovery,
-            }
-        )
-    recoveries = [
-        {
-            "round": event.round,
-            "action": event.action,
-            "anomalies": list(event.anomalies),
-            "rolled_back_to": event.rolled_back_to,
-            "lr_scale": event.lr_scale,
-            "blamed_clients": list(event.blamed_clients),
-            "detail": event.detail,
-        }
-        for event in history.recoveries
-    ]
-    path.write_text(json.dumps({"records": records, "recoveries": recoveries}, indent=2))
+    payload = {
+        "records": [record.to_dict() for record in history.records],
+        "recoveries": [asdict(event) for event in history.recoveries],
+    }
+    path.write_text(json.dumps(payload, indent=2))
 
 
 def load_history(path: str | Path) -> TrainingHistory:
@@ -93,66 +61,24 @@ def load_history(path: str | Path) -> TrainingHistory:
     payload = json.loads(Path(path).read_text())
     history = TrainingHistory()
     for item in payload["records"]:
-        history.append(
-            RoundRecord(
-                round=item["round"],
-                test_accuracy=item["test_accuracy"],
-                test_loss=item["test_loss"],
-                round_sim_time=item["round_sim_time"],
-                cumulative_sim_time=item["cumulative_sim_time"],
-                round_wall_time=item["round_wall_time"],
-                participating=list(item["participating"]),
-                alphas={int(k): v for k, v in item["alphas"].items()},
-                expelled=list(item["expelled"]),
-                update_norms={int(k): v for k, v in item["update_norms"].items()},
-                dropped=list(item.get("dropped", [])),
-                quarantined={int(k): v for k, v in item.get("quarantined", {}).items()},
-                stragglers=list(item.get("stragglers", [])),
-                retries={int(k): int(v) for k, v in item.get("retries", {}).items()},
-                duplicated=list(item.get("duplicated", [])),
-                deliveries={
-                    str(k): int(v) for k, v in item.get("deliveries", {}).items()
-                },
-                aggregated=int(item.get("aggregated", 0)),
-                skipped=bool(item.get("skipped", False)),
-                uplink_bytes=int(item.get("uplink_bytes", 0)),
-                downlink_bytes=int(item.get("downlink_bytes", 0)),
-                anomalies=list(item.get("anomalies", [])),
-                recovery=item.get("recovery"),
-            )
-        )
-    for item in payload.get("recoveries", []):
-        history.recoveries.append(
-            RecoveryEvent(
-                round=int(item["round"]),
-                action=item["action"],
-                anomalies=list(item.get("anomalies", [])),
-                rolled_back_to=(
-                    int(item["rolled_back_to"])
-                    if item.get("rolled_back_to") is not None
-                    else None
-                ),
-                lr_scale=float(item.get("lr_scale", 1.0)),
-                blamed_clients=[int(c) for c in item.get("blamed_clients", [])],
-                detail=item.get("detail", ""),
-            )
-        )
+        history.append(RoundRecord.from_dict(item))
+    history.recoveries = [RecoveryEvent(**item) for item in payload.get("recoveries", [])]
     return history
 
 
 # ----------------------------------------------------------------------
-# Full-simulation checkpoints
+# Run checkpoints
 # ----------------------------------------------------------------------
 #: Separator for flattened nested state paths; npz/zip member names accept it
 #: and it cannot collide with module-style "/" or "." key characters.
-_SEP = "|"
+STATE_SEP = "|"
 
 ARRAYS_FILE = "arrays.npz"
 META_FILE = "meta.json"
 HISTORY_FILE = "history.json"
 
 
-def _flatten_state(
+def flatten_state(
     value: Any, prefix: str, arrays: Dict[str, np.ndarray], scalars: Dict[str, Any]
 ) -> None:
     """Split nested strategy state into npz-able arrays and JSON scalars."""
@@ -162,16 +88,16 @@ def _flatten_state(
         scalars[prefix] = {"__set__": sorted(value)}
     elif isinstance(value, dict):
         for key, sub in value.items():
-            _flatten_state(sub, f"{prefix}{_SEP}{key}", arrays, scalars)
+            flatten_state(sub, f"{prefix}{STATE_SEP}{key}", arrays, scalars)
     else:
         scalars[prefix] = value
 
 
-def _unflatten_state(flat: Dict[str, Any]) -> Dict[str, Any]:
+def unflatten_state(flat: Dict[str, Any]) -> Dict[str, Any]:
     """Rebuild the nested dict produced by ``Strategy.state_dict``."""
     nested: Dict[str, Any] = {}
     for path, value in flat.items():
-        parts = path.split(_SEP)
+        parts = path.split(STATE_SEP)
         node = nested
         for part in parts[:-1]:
             node = node.setdefault(part, {})
@@ -181,23 +107,127 @@ def _unflatten_state(flat: Dict[str, Any]) -> Dict[str, Any]:
     return nested
 
 
-def _rng_state(rng: np.random.Generator) -> Dict[str, Any]:
-    """The generator's JSON-serialisable bit-generator state."""
-    return rng.bit_generator.state
+def save_run(
+    engine,
+    directory: str | Path,
+    kind: str,
+    arrays: Dict[str, np.ndarray],
+    meta: Dict[str, Any],
+) -> Path:
+    """Write the checkpoint core every engine shares, plus its own state.
+
+    The core is the server vectors, model buffers, strategy state, the
+    round and evaluation counters and the history of a
+    :class:`~repro.fl.engine.RoundEngine`.  ``kind`` names the engine
+    (``"sync"`` or ``"async"``) so the other one refuses to resume it;
+    ``arrays`` (``group|name`` keys) and ``meta`` add the engine's own
+    state to ``arrays.npz`` and ``meta.json``.
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    state = engine.server.state
+
+    core: Dict[str, np.ndarray] = {
+        f"server{STATE_SEP}round": np.asarray(state.round),
+        f"server{STATE_SEP}global_params": state.global_params,
+    }
+    if state.prev_global_params is not None:
+        core[f"server{STATE_SEP}prev_global_params"] = state.prev_global_params
+    if state.global_delta is not None:
+        core[f"server{STATE_SEP}global_delta"] = state.global_delta
+    for key, value in engine.model.state_dict().items():
+        core[f"model{STATE_SEP}{key}"] = value
+    strategy_arrays: Dict[str, np.ndarray] = {}
+    strategy_scalars: Dict[str, Any] = {}
+    for key, value in engine.strategy.state_dict().items():
+        flatten_state(value, key, strategy_arrays, strategy_scalars)
+    for key, value in strategy_arrays.items():
+        core[f"strategy{STATE_SEP}{key}"] = value
+
+    meta = {
+        "engine": kind,
+        "round": state.round,
+        "cumulative_sim_time": engine._cumulative_sim_time,
+        "last_evaluated_round": engine._last_evaluated_round,
+        "strategy_scalars": strategy_scalars,
+        **meta,
+    }
+    # Stage all three files, then swap each in whole with meta.json last: an
+    # interrupted write leaves the previous checkpoint intact, or a torn one
+    # that restore_run detects from the round stamped into arrays.npz.
+    staged = {
+        name: directory / f".{name}.partial" for name in (ARRAYS_FILE, HISTORY_FILE, META_FILE)
+    }
+    with open(staged[ARRAYS_FILE], "wb") as handle:
+        np.savez(handle, **core, **arrays)
+    save_history(engine.history, staged[HISTORY_FILE])
+    staged[META_FILE].write_text(json.dumps(meta, indent=2))
+    for name, path in staged.items():
+        os.replace(path, directory / name)
+    return directory
 
 
-def _restore_rng(rng: np.random.Generator, state: Dict[str, Any]) -> None:
-    """Restore a generator to a previously captured bit-generator state."""
-    rng.bit_generator.state = state
+def read_meta(directory: str | Path, kind: str) -> Dict[str, Any]:
+    """A checkpoint's ``meta.json``, refusing one written by the other engine.
+
+    Checkpoints from before the ``engine`` stamp are told apart by the
+    async layout's ``persist_version`` key.
+    """
+    directory = Path(directory)
+    meta = json.loads((directory / META_FILE).read_text())
+    found = meta.get("engine", "async" if "persist_version" in meta else "sync")
+    if found != kind:
+        raise ValueError(
+            f"cannot resume the {kind} engine from {directory}: "
+            f"it holds a checkpoint of the {found} engine"
+        )
+    return meta
 
 
-# Public aliases for other checkpointing layers (repro.federation.persist)
-# so they share one flattening/RNG-serialisation contract with this module.
-flatten_state = _flatten_state
-unflatten_state = _unflatten_state
-rng_state = _rng_state
-restore_rng = _restore_rng
-STATE_SEP = _SEP
+def restore_run(
+    engine, directory: str | Path, meta: Dict[str, Any]
+) -> Dict[str, Dict[str, np.ndarray]]:
+    """Load the checkpoint core into ``engine``; returns the arrays by group.
+
+    Every array of ``arrays.npz`` is returned under its first key segment
+    (``"transport"``, ``"guard"``, ``"event"``, ...) so the engine can
+    restore its own state next.
+    """
+    directory = Path(directory)
+    groups: Dict[str, Dict[str, np.ndarray]] = {}
+    try:
+        with np.load(directory / ARRAYS_FILE) as archive:
+            for key in archive.files:
+                group, rest = key.split(STATE_SEP, 1)
+                groups.setdefault(group, {})[rest] = archive[key]
+    except zipfile.BadZipFile as error:
+        raise ValueError(f"unreadable checkpoint {directory / ARRAYS_FILE}: {error}") from error
+    history = load_history(directory / HISTORY_FILE)
+    server = groups.get("server", {})
+    if "round" in server and int(server["round"]) != meta["round"]:
+        raise ValueError(
+            f"torn checkpoint at {directory}: arrays are from round {int(server['round'])}, "
+            f"meta.json from round {meta['round']} (a checkpoint write was interrupted)"
+        )
+
+    state = engine.server.state
+    state.global_params = server["global_params"].copy()
+    state.prev_global_params = (
+        server["prev_global_params"].copy() if "prev_global_params" in server else None
+    )
+    state.global_delta = server["global_delta"].copy() if "global_delta" in server else None
+    state.round = int(meta["round"])
+    if groups.get("model"):
+        engine.model.load_state_dict(groups["model"])
+
+    engine.strategy.reset()
+    engine.strategy.load_state_dict(
+        unflatten_state({**groups.get("strategy", {}), **meta["strategy_scalars"]})
+    )
+    engine.history = history
+    engine._cumulative_sim_time = float(meta["cumulative_sim_time"])
+    engine._last_evaluated_round = int(meta["last_evaluated_round"])
+    return groups
 
 
 def save_simulation(simulation, directory: str | Path) -> Path:
@@ -208,51 +238,26 @@ def save_simulation(simulation, directory: str | Path) -> Path:
     strategy scalars) and ``history.json`` into ``directory``.  Safe to
     call at any round boundary; later checkpoints overwrite earlier ones.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    state = simulation.server.state
-
-    arrays: Dict[str, np.ndarray] = {f"server{_SEP}global_params": state.global_params}
-    if state.prev_global_params is not None:
-        arrays[f"server{_SEP}prev_global_params"] = state.prev_global_params
-    if state.global_delta is not None:
-        arrays[f"server{_SEP}global_delta"] = state.global_delta
-    for key, value in simulation.model.state_dict().items():
-        arrays[f"model{_SEP}{key}"] = value
-
-    strategy_arrays: Dict[str, np.ndarray] = {}
-    strategy_scalars: Dict[str, Any] = {}
-    for key, value in simulation.strategy.state_dict().items():
-        _flatten_state(value, key, strategy_arrays, strategy_scalars)
-    for key, value in strategy_arrays.items():
-        arrays[f"strategy{_SEP}{key}"] = value
-
+    arrays: Dict[str, np.ndarray] = {}
     rng_states: Dict[str, Any] = {
-        "simulation": _rng_state(simulation.rng),
+        "simulation": simulation.rng.bit_generator.state,
         "clients": {
-            str(cid): _rng_state(client.sampler.rng)
+            str(cid): client.sampler.rng.bit_generator.state
             for cid, client in simulation.clients.items()
         },
     }
     if simulation.transport is not None:
-        rng_states["transport"] = _rng_state(simulation.transport.rng)
-        arrays[f"transport{_SEP}uplink_bytes_per_round"] = np.asarray(
-            simulation.transport.log.uplink_bytes_per_round, dtype=np.int64
+        log = simulation.transport.log
+        rng_states["transport"] = simulation.transport.rng.bit_generator.state
+        arrays[f"transport{STATE_SEP}uplink_bytes_per_round"] = np.asarray(
+            log.uplink_bytes_per_round, dtype=np.int64
         )
-        arrays[f"transport{_SEP}downlink_bytes_per_round"] = np.asarray(
-            simulation.transport.log.downlink_bytes_per_round, dtype=np.int64
+        arrays[f"transport{STATE_SEP}downlink_bytes_per_round"] = np.asarray(
+            log.downlink_bytes_per_round, dtype=np.int64
         )
+    meta: Dict[str, Any] = {"num_clients": len(simulation.clients), "rng_states": rng_states}
 
-    meta = {
-        "round": state.round,
-        "num_clients": state.num_clients,
-        "cumulative_sim_time": simulation._cumulative_sim_time,
-        "last_evaluated_round": simulation._last_evaluated_round,
-        "strategy_scalars": strategy_scalars,
-        "rng_states": rng_states,
-    }
-
-    if getattr(simulation, "recovery", None) is not None:
+    if simulation.recovery is not None:
         # Guard state: the monitor's rolling windows plus the recovery
         # controller's ladder position and snapshot ring buffer, so a
         # checkpoint taken mid-recovery resumes bit-exactly.
@@ -262,16 +267,13 @@ def save_simulation(simulation, directory: str | Path) -> Path:
         }
         guard_arrays: Dict[str, np.ndarray] = {}
         guard_scalars: Dict[str, Any] = {}
-        _flatten_state(recovery_state, "recovery", guard_arrays, guard_scalars)
-        _flatten_state(simulation.monitor.state_dict(), "monitor", guard_arrays, guard_scalars)
+        flatten_state(recovery_state, "recovery", guard_arrays, guard_scalars)
+        flatten_state(simulation.monitor.state_dict(), "monitor", guard_arrays, guard_scalars)
         for key, value in guard_arrays.items():
-            arrays[f"guard{_SEP}{key}"] = value
+            arrays[f"guard{STATE_SEP}{key}"] = value
         meta["guard_scalars"] = guard_scalars
 
-    np.savez(directory / ARRAYS_FILE, **arrays)
-    (directory / META_FILE).write_text(json.dumps(meta, indent=2))
-    save_history(simulation.history, directory / HISTORY_FILE)
-    return directory
+    return save_run(simulation, directory, "sync", arrays, meta)
 
 
 def load_simulation(simulation, directory: str | Path) -> int:
@@ -283,80 +285,37 @@ def load_simulation(simulation, directory: str | Path) -> int:
     history — is overwritten so the next round replays exactly as it would
     have in the uninterrupted run.
     """
-    directory = Path(directory)
-    archive = np.load(directory / ARRAYS_FILE)
-    meta = json.loads((directory / META_FILE).read_text())
+    meta = read_meta(directory, "sync")
     if meta["num_clients"] != len(simulation.clients):
         raise ValueError(
             f"checkpoint has {meta['num_clients']} clients, "
             f"simulation has {len(simulation.clients)}"
         )
-
-    prefixed: Dict[str, Dict[str, np.ndarray]] = {
-        "server": {},
-        "model": {},
-        "strategy": {},
-        "transport": {},
-        "guard": {},
-    }
-    for key in archive.files:
-        group, rest = key.split(_SEP, 1)
-        prefixed[group][rest] = archive[key]
-
-    state = simulation.server.state
-    state.global_params = prefixed["server"]["global_params"].copy()
-    state.prev_global_params = (
-        prefixed["server"]["prev_global_params"].copy()
-        if "prev_global_params" in prefixed["server"]
-        else None
-    )
-    state.global_delta = (
-        prefixed["server"]["global_delta"].copy()
-        if "global_delta" in prefixed["server"]
-        else None
-    )
-    state.round = int(meta["round"])
-
-    if prefixed["model"]:
-        simulation.model.load_state_dict(prefixed["model"])
-
-    simulation.strategy.reset()
-    flat: Dict[str, Any] = dict(prefixed["strategy"])
-    flat.update(meta["strategy_scalars"])
-    simulation.strategy.load_state_dict(_unflatten_state(flat))
-
-    _restore_rng(simulation.rng, meta["rng_states"]["simulation"])
-    for cid_str, rng_state in meta["rng_states"]["clients"].items():
-        cid = int(cid_str)
-        if cid not in simulation.clients:
+    clients = meta["rng_states"]["clients"]
+    for cid in clients:
+        if int(cid) not in simulation.clients:
             raise ValueError(f"checkpoint references unknown client {cid}")
-        _restore_rng(simulation.clients[cid].sampler.rng, rng_state)
+    groups = restore_run(simulation, directory, meta)
+
+    simulation.rng.bit_generator.state = meta["rng_states"]["simulation"]
+    for cid, state in clients.items():
+        simulation.clients[int(cid)].sampler.rng.bit_generator.state = state
 
     if simulation.transport is not None and "transport" in meta["rng_states"]:
-        _restore_rng(simulation.transport.rng, meta["rng_states"]["transport"])
-        transport_arrays = prefixed["transport"]
+        simulation.transport.rng.bit_generator.state = meta["rng_states"]["transport"]
+        transport_arrays = groups.get("transport", {})
         # Older checkpoints stored only the (uplink) "bytes_per_round" array.
-        uplink_key = (
-            "uplink_bytes_per_round"
-            if "uplink_bytes_per_round" in transport_arrays
-            else "bytes_per_round"
+        uplink = transport_arrays.get(
+            "uplink_bytes_per_round", transport_arrays.get("bytes_per_round", [])
         )
-        simulation.transport.log.uplink_bytes_per_round = [
-            int(b) for b in transport_arrays.get(uplink_key, [])
-        ]
+        simulation.transport.log.uplink_bytes_per_round = [int(b) for b in uplink]
         simulation.transport.log.downlink_bytes_per_round = [
             int(b) for b in transport_arrays.get("downlink_bytes_per_round", [])
         ]
 
-    simulation.history = load_history(directory / HISTORY_FILE)
-    simulation._cumulative_sim_time = float(meta["cumulative_sim_time"])
-    simulation._last_evaluated_round = int(meta["last_evaluated_round"])
-
-    if getattr(simulation, "recovery", None) is not None:
+    if simulation.recovery is not None:
         if "guard_scalars" in meta:
-            flat: Dict[str, Any] = dict(prefixed["guard"])
-            flat.update(meta["guard_scalars"])
-            guard_state = _unflatten_state(flat)
+            guard_state = unflatten_state({**groups.get("guard", {}), **meta["guard_scalars"]})
             recovery_state = guard_state.get("recovery", {})
             snapshots = recovery_state.get("snapshots", {}) or {}
             recovery_state["snapshots"] = [
@@ -378,10 +337,4 @@ def load_simulation(simulation, directory: str | Path) -> int:
             # as the known-good baseline and start the ladder fresh.
             simulation.recovery.prime(simulation)
 
-    return state.round
-
-
-def checkpoint_files(directory: str | Path) -> Tuple[Path, Path, Path]:
-    """The (arrays, meta, history) paths of a simulation checkpoint."""
-    directory = Path(directory)
-    return directory / ARRAYS_FILE, directory / META_FILE, directory / HISTORY_FILE
+    return simulation.server.state.round

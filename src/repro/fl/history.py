@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from .metrics import instability, rounds_to_target, time_to_target
+
+#: RoundRecord dict fields keyed by client id (JSON object keys are strings).
+_CLIENT_KEYED = ("alphas", "update_norms", "quarantined", "retries")
 
 
 @dataclass
@@ -45,6 +48,23 @@ class RoundRecord:
     def fault_count(self) -> int:
         """Uploads selected this round that never reached aggregation."""
         return len(self.dropped) + len(self.quarantined) + len(self.stragglers)
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-safe dump in field order; client-id keys become sorted strings."""
+        data = {name: list(v) if isinstance(v, list) else v for name, v in vars(self).items()}
+        for name in _CLIENT_KEYED:
+            data[name] = {str(cid): value for cid, value in sorted(data[name].items())}
+        data["deliveries"] = dict(sorted(data["deliveries"].items()))
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "RoundRecord":
+        """Inverse of :meth:`to_dict`; fields an older dump lacks take defaults."""
+        kwargs = dict(data)
+        for name in _CLIENT_KEYED:
+            if name in kwargs:
+                kwargs[name] = {int(cid): value for cid, value in kwargs[name].items()}
+        return cls(**kwargs)
 
 
 @dataclass

@@ -9,6 +9,10 @@ metrics into the training loop of Algorithm 1/2:
 4. the slowest client's simulated compute time is charged to the round,
 5. the global model is evaluated on the test set.
 
+The run lifecycle around that round — resume, divergence, checkpoint
+cadence, evaluation cadence, records — is :class:`~repro.fl.engine.RoundEngine`,
+shared with the semi-async :class:`~repro.federation.AsyncCoordinator`.
+
 Freeloader clients (``repro.attacks``) plug in through the same Client
 interface; TACO's expulsion shows up via ``Strategy.active_clients``.
 
@@ -25,43 +29,25 @@ and restart bit-exact with ``resume_from=...``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..data.dataset import TensorDataset
-from ..introspect import get_introspector, live_theory_scalars
 from ..nn.module import Module
 from ..telemetry import get_telemetry
 from .client import Client
-from .degradation import DegradationPolicy, split_stragglers, validate_updates
-from .history import RoundRecord, TrainingHistory
+from .degradation import DegradationPolicy, split_stragglers
+from .engine import RoundEngine, SimulationResult
+from .history import RoundRecord
 from .metrics import evaluate
 from .sampling import FullParticipation
-from .server import Server
 from .state import ClientUpdate
 from .timing import CostModel
 
 
-@dataclass
-class SimulationResult:
-    """Outcome of a full FL run."""
-
-    history: TrainingHistory
-    final_params: np.ndarray  # w_T
-    output_params: np.ndarray  # the algorithm's reported output (TACO: z_T)
-    final_accuracy: float
-    output_accuracy: float
-    diverged: bool
-    elapsed_seconds: float = 0.0  # measured wall-clock for the whole run
-    #: Per-round AlgoDiagnostics collected by repro.introspect (empty when
-    #: introspection was disabled for the run).
-    diagnostics: list = field(default_factory=list)
-
-
-class FederatedSimulation:
+class FederatedSimulation(RoundEngine):
     """Run one FL training job.
 
     Parameters
@@ -126,19 +112,9 @@ class FederatedSimulation:
     ) -> None:
         if not clients:
             raise ValueError("at least one client is required")
-        self.model = model
         self.clients = {client.client_id: client for client in clients}
         if len(self.clients) != len(clients):
             raise ValueError("client ids must be unique")
-        self.strategy = strategy
-        self.test_set = test_set
-        self.global_lr = global_lr if global_lr is not None else strategy.local_steps * strategy.local_lr
-        self.cost_model = cost_model or CostModel()
-        self.participation = participation or FullParticipation()
-        self.transport = transport
-        self.eval_every = max(1, eval_every)
-        self.rng = np.random.default_rng(seed)
-
         if fault_plan is not None:
             from ..faults import FaultInjector  # local import: fl must not require faults
 
@@ -146,7 +122,19 @@ class FederatedSimulation:
             degradation = degradation or DegradationPolicy()
         else:
             self.fault_injector = None
-        self.degradation = degradation
+        super().__init__(
+            model,
+            strategy,
+            test_set,
+            num_clients=len(clients),
+            global_lr=global_lr,
+            cost_model=cost_model,
+            degradation=degradation,
+            eval_every=eval_every,
+            seed=seed,
+        )
+        self.participation = participation or FullParticipation()
+        self.transport = transport
 
         self.batched_executor = None
         if batched_execution:
@@ -156,11 +144,6 @@ class FederatedSimulation:
             # loop then silently stays on the sequential oracle.
             self.batched_executor = BatchedCohortExecutor.try_build(model)
 
-        self.server = Server(model.parameters_vector(), self.global_lr, len(clients))
-        self.history = TrainingHistory()
-        self._cumulative_sim_time = 0.0
-        self._last_evaluated_round = -1
-
         if guard is not None:
             from ..guard import (  # local import: fl must not require guard
                 HealthMonitor,
@@ -168,11 +151,9 @@ class FederatedSimulation:
                 parameter_layout,
             )
 
-            self.guard_policy = guard
             self.monitor = HealthMonitor(guard, parameter_layout(model))
             self.recovery = RecoveryController(guard, self.global_lr)
         else:
-            self.guard_policy = None
             self.monitor = None
             self.recovery = None
         self._round_upload_anomalies: list = []
@@ -197,90 +178,36 @@ class FederatedSimulation:
         """
         from . import checkpoint  # deferred: checkpoint imports history/model only
 
-        if rounds <= 0:
-            raise ValueError(f"rounds must be positive, got {rounds}")
-        if checkpoint_every < 0:
-            raise ValueError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
-        if checkpoint_every and checkpoint_dir is None:
-            raise ValueError("checkpoint_every requires checkpoint_dir")
-
-        if resume_from is not None:
-            completed = checkpoint.load_simulation(self, resume_from)
-            if completed > rounds:
-                raise ValueError(
-                    f"checkpoint already has {completed} rounds, cannot run to {rounds}"
-                )
-        else:
-            self.strategy.reset()
-            if self.transport is not None:
-                self.transport.reset()
-            # Mirror Transport.reset(): back-to-back simulations in one
-            # process each start from an empty trace and registry instead of
-            # accumulating the previous run's events (already-streamed
-            # exporter output, e.g. JSONL lines, is untouched).
-            get_telemetry().reset()
-            get_introspector().reset()
-            if self.recovery is not None:
-                # Seed the rollback ring buffer with w_0 so even a round-0
-                # anomaly has a known-good state to rewind to.
-                self.recovery.prime(self)
-
-        run_started = time.perf_counter()
-        diverged = False
-        while self.server.state.round < rounds:
-            record = self.run_round()
-            if self.recovery is not None:
-                if self._guard_intervene(record) == "abort":
-                    diverged = True
-                    break
-            elif not np.isfinite(record.test_loss) or not np.isfinite(
-                self.server.state.global_params
-            ).all():
-                diverged = True
-                break
-            # state.round is record.round + 1 on the legacy path, but a
-            # guard rollback rewinds it — key the cadence on the counter so
-            # checkpoints always describe the state actually on disk.
-            if (
-                checkpoint_every
-                and checkpoint_dir is not None
-                and self.server.state.round % checkpoint_every == 0
-            ):
-                checkpoint.save_simulation(self, checkpoint_dir)
-
-        final_params = self.server.state.global_params.copy()
-        self._refresh_final_metrics(final_params, diverged)
-        output_params = self.strategy.final_output(self.server.state).copy()
-        self.model.load_vector(final_params)
-        final_accuracy = self.history.final_accuracy if len(self.history) else 0.0
-        if np.isfinite(output_params).all():
-            self.model.load_vector(output_params)
-            output_accuracy, _ = evaluate(self.model, self.test_set)
-        else:
-            output_accuracy = 0.0
-        self.model.load_vector(final_params)
-        introspector = get_introspector()
-        result = SimulationResult(
-            history=self.history,
-            final_params=final_params,
-            output_params=output_params,
-            final_accuracy=final_accuracy,
-            output_accuracy=output_accuracy,
-            diverged=diverged,
-            elapsed_seconds=time.perf_counter() - run_started,
-            diagnostics=list(introspector.records) if introspector.enabled else [],
+        return self._run(
+            rounds,
+            checkpoint_every,
+            checkpoint_dir,
+            resume_from,
+            record_path,
+            save=checkpoint.save_simulation,
+            load=checkpoint.load_simulation,
         )
-        if record_path is not None:
-            from ..runrecord import build_run_record, write_run_record
 
-            write_run_record(
-                build_run_record(result, algorithm=getattr(self.strategy, "name", "unknown")),
-                record_path,
-            )
-        return result
+    def _start_fresh(self) -> None:
+        super()._start_fresh()
+        if self.transport is not None:
+            self.transport.reset()
+        if self.recovery is not None:
+            # Seed the rollback ring buffer with w_0 so even a round-0
+            # anomaly has a known-good state to rewind to.
+            self.recovery.prime(self)
 
-    def _guard_intervene(self, record: RoundRecord) -> str:
-        """Run the round through the guard; returns the action taken."""
+    def _step(self) -> RoundRecord:
+        return self.run_round()
+
+    def _evaluate(self, params: np.ndarray):
+        self.model.load_vector(params)
+        return evaluate(self.model, self.test_set)
+
+    def _diverged(self, record: RoundRecord) -> bool:
+        """Without a guard, a non-finite round ends the run; with one, only an abort."""
+        if self.recovery is None:
+            return super()._diverged(record)
         state = self.server.state
         anomalies = self.monitor.check_round(record, state)
         record.anomalies.extend(a.kind for a in anomalies)
@@ -288,33 +215,11 @@ class FederatedSimulation:
         if not critical:
             self.monitor.commit(record, state)
             self.recovery.note_healthy(self, record)
-            return "ok"
+            return False
         # Upload anomalies carry the per-client blame; fold them into the
         # recovery event so the audit log names the offending uploads.
-        return self.recovery.respond(
-            self, record, critical + self._round_upload_anomalies
-        )
-
-    def _refresh_final_metrics(self, final_params: np.ndarray, diverged: bool) -> None:
-        """Force a final evaluation when ``eval_every`` skipped the last round.
-
-        Without this, a run whose last round fell between evaluation points
-        would report the *previous* evaluation's accuracy as its final one.
-        The stale record is fixed up in place so history and
-        ``SimulationResult.final_accuracy`` agree.
-        """
-        if diverged or not len(self.history):
-            return
-        last = self.history.records[-1]
-        if last.round == self._last_evaluated_round:
-            return
-        if not np.isfinite(final_params).all():
-            return
-        self.model.load_vector(final_params)
-        accuracy, loss = evaluate(self.model, self.test_set)
-        last.test_accuracy = accuracy
-        last.test_loss = loss
-        self._last_evaluated_round = last.round
+        action = self.recovery.respond(self, record, critical + self._round_upload_anomalies)
+        return action == "abort"
 
     # ------------------------------------------------------------------
     def run_round(self) -> RoundRecord:
@@ -323,11 +228,7 @@ class FederatedSimulation:
         round_started = time.perf_counter()
         round_index = state.round
         telemetry = get_telemetry()
-        introspector = get_introspector()
-        if introspector.enabled:
-            introspector.begin_round(
-                round_index, getattr(self.strategy, "name", type(self.strategy).__name__)
-            )
+        self._begin_round(round_index)
 
         with telemetry.span("round", round=round_index):
             previously_active = self.strategy.active_clients(state, sorted(self.clients))
@@ -391,21 +292,9 @@ class FederatedSimulation:
                 )
 
             stragglers: List[int] = []
-            quarantined = {}
-            skipped = False
             if self.degradation is not None:
                 updates, stragglers = split_stragglers(updates, self.degradation.round_deadline)
-                updates, quarantined = validate_updates(updates, state.dim, self.degradation)
-                if len(updates) < self.degradation.min_quorum:
-                    skipped = True
-
-            with telemetry.span(
-                "aggregate", round=round_index, updates=len(updates), skipped=skipped
-            ):
-                if skipped:
-                    self.server.skip_round()
-                else:
-                    self.server.run_aggregation(self.strategy, updates)
+            updates, quarantined, skipped = self._aggregate(round_index, updates)
 
             still_active = set(
                 self.strategy.active_clients(self.server.state, sorted(self.clients))
@@ -414,34 +303,21 @@ class FederatedSimulation:
 
             round_sim = self._round_sim_time(updates, fault_log, stragglers)
             self._cumulative_sim_time += round_sim
+            metrics = self._evaluate_round(round_index)
 
-            if (round_index + 1) % self.eval_every == 0 or not len(self.history):
-                with telemetry.span("evaluate", round=round_index):
-                    self.model.load_vector(self.server.state.global_params)
-                    accuracy, loss = evaluate(self.model, self.test_set)
-                self._last_evaluated_round = round_index
-            else:
-                accuracy = self.history.records[-1].test_accuracy
-                loss = self.history.records[-1].test_loss
-
-        alphas = {} if skipped else dict(getattr(self.strategy, "last_alphas", {}) or {})
-        record = RoundRecord(
-            round=round_index,
-            test_accuracy=accuracy,
-            test_loss=loss,
-            round_sim_time=round_sim,
-            cumulative_sim_time=self._cumulative_sim_time,
-            round_wall_time=time.perf_counter() - round_started,
+        return self._close_round(
+            round_index,
+            round_started,
+            updates,
+            skipped,
+            metrics,
+            round_sim,
             participating=list(participating),
-            alphas=alphas,
             expelled=expelled,
-            update_norms={u.client_id: u.delta_norm for u in updates},
             dropped=fault_log.dropped,
             quarantined=quarantined,
             stragglers=stragglers,
             retries=dict(fault_log.retries),
-            aggregated=0 if skipped else len(updates),
-            skipped=skipped,
             uplink_bytes=(
                 self.transport.log.uplink_bytes_per_round[-1]
                 if self.transport is not None
@@ -454,56 +330,6 @@ class FederatedSimulation:
             ),
             anomalies=[a.kind for a in self._round_upload_anomalies],
         )
-        self.history.append(record)
-        self._record_round_metrics(telemetry, record, round_sim)
-        if introspector.enabled:
-            self._record_round_diagnostics(introspector, record, updates, skipped)
-            introspector.end_round()
-        return record
-
-    def _record_round_diagnostics(self, introspector, record, updates, skipped) -> None:
-        """Publish server-side diagnostics (and the live theory proxies).
-
-        Runs only when introspection is enabled, so the default path does no
-        extra arithmetic.  The theory proxies need a coefficient assignment,
-        so they are published only for strategies exposing ``last_alphas``
-        (TACO and its Fig. 6 hybrids).
-        """
-        introspector.scalar("server.test_accuracy", record.test_accuracy)
-        introspector.scalar("server.test_loss", record.test_loss)
-        introspector.scalar("server.aggregated", float(record.aggregated))
-        introspector.per_client("server.update_norm", dict(record.update_norms))
-        delta = self.server.state.global_delta
-        if delta is not None and not skipped:
-            introspector.scalar(
-                "server.global_delta_norm", float(np.linalg.norm(delta))
-            )
-        alphas = dict(getattr(self.strategy, "last_alphas", {}) or {})
-        if alphas and updates and not skipped:
-            for name, value in live_theory_scalars(
-                alphas,
-                updates,
-                local_steps=self.strategy.local_steps,
-                local_lr=self.strategy.local_lr,
-                smoothness=getattr(introspector, "smoothness", 1.0),
-            ).items():
-                introspector.scalar(name, value)
-
-    def _record_round_metrics(self, telemetry, record: RoundRecord, round_sim: float) -> None:
-        """Publish one round's headline numbers to the metric registry."""
-        telemetry.histogram("round.wall_seconds").observe(record.round_wall_time)
-        telemetry.histogram("round.sim_seconds").observe(round_sim)
-        telemetry.counter("agg.quarantined").add(len(record.quarantined))
-        telemetry.counter("agg.stragglers").add(len(record.stragglers))
-        telemetry.counter("agg.dropped").add(len(record.dropped))
-        telemetry.counter("agg.aggregated").add(record.aggregated)
-        if record.skipped:
-            telemetry.counter("agg.skipped_rounds").add(1)
-        if record.expelled:
-            telemetry.counter("agg.expelled").add(len(record.expelled))
-        if telemetry.enabled:
-            telemetry.gauge("round.test_accuracy").set(record.test_accuracy)
-            telemetry.gauge("round.test_loss").set(record.test_loss)
 
     # ------------------------------------------------------------------
     def _over_select(

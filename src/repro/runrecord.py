@@ -66,33 +66,9 @@ def _platform_info() -> Dict[str, str]:
 
 def _round_to_dict(record) -> Dict[str, Any]:
     """JSON-safe round dump; ``round_wall_time`` is excluded (timing key)."""
-    return {
-        "round": record.round,
-        "test_accuracy": record.test_accuracy,
-        "test_loss": record.test_loss,
-        "round_sim_time": record.round_sim_time,
-        "cumulative_sim_time": record.cumulative_sim_time,
-        "participating": list(record.participating),
-        "alphas": {str(cid): value for cid, value in sorted(record.alphas.items())},
-        "expelled": list(record.expelled),
-        "update_norms": {
-            str(cid): value for cid, value in sorted(record.update_norms.items())
-        },
-        "dropped": list(record.dropped),
-        "quarantined": {
-            str(cid): reason for cid, reason in sorted(record.quarantined.items())
-        },
-        "stragglers": list(record.stragglers),
-        "retries": {str(cid): count for cid, count in sorted(record.retries.items())},
-        "duplicated": list(record.duplicated),
-        "deliveries": {key: record.deliveries[key] for key in sorted(record.deliveries)},
-        "aggregated": record.aggregated,
-        "skipped": record.skipped,
-        "uplink_bytes": record.uplink_bytes,
-        "downlink_bytes": record.downlink_bytes,
-        "anomalies": list(record.anomalies),
-        "recovery": record.recovery,
-    }
+    data = record.to_dict()
+    del data["round_wall_time"]
+    return data
 
 
 def build_run_record(

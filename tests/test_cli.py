@@ -260,6 +260,21 @@ class TestFederate:
         payload = json.loads(capsys.readouterr().out)
         assert payload["rounds"] == 5
 
+    @pytest.mark.parametrize("writer, reader", [("run", "federate"), ("federate", "run")])
+    def test_resume_from_other_engine_is_usage_error(self, tmp_path, capsys, writer, reader):
+        argv = {
+            "run": ["run", *TestCommands.COMMON],
+            "federate": ["federate", "--smoke", "--rounds", "2"],
+        }
+        checkpoints = str(tmp_path / "ckpt")
+        assert main([*argv[writer], "--checkpoint-every", "1",
+                     "--checkpoint-dir", checkpoints]) == 0
+        capsys.readouterr()
+        assert main([*argv[reader], "--checkpoint-dir", checkpoints, "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot resume")
+        assert err.count("\n") == 1  # one line, no traceback
+
 
 class TestServingObservability:
     def test_federate_trace_deliveries_summary(self, capsys):
