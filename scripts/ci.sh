@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 CI gate: the full test suite plus a fault-injection smoke run.
+# CI gate: the tier-1 test suite, one smoke run per CLI subsystem (faults,
+# telemetry, run records, scenarios, federation, chaos, serving, guard),
+# and the wall-clock benchmark's self-tests plus its smoke run.
 #
-# Usage: scripts/ci.sh   (from the repo root; needs numpy + pytest only)
+# Usage: scripts/ci.sh   (from the repo root; needs numpy, pytest,
+# pytest-benchmark and hypothesis)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -93,9 +96,6 @@ print("federation smoke ok:", {k: out[k] for k in
 '
 python -m repro.cli report out/federation/*/runrecord.json --ascii > /dev/null
 
-echo "==> federation scaling bench (1k vs 100k vs 1M clients, memory-ratio floor)"
-python scripts/bench_federation.py --smoke
-
 echo "==> network chaos smoke (graded loss grid + determinism invariants)"
 python -m repro.cli chaos --smoke --json --out out/chaos.json \
     | python -c '
@@ -140,14 +140,10 @@ assert all(isinstance(e["ts"], int) and isinstance(e["pid"], int)
 print(f"trace export ok: {len(events)} events, {len(names)} span names")
 PY
 
-echo "==> serving load-test smoke (4-point rate sweep, saturation floors)"
+echo "==> serving load-test smoke (4-point rate sweep + capacity report)"
 mkdir -p out
 python -m repro.cli loadtest --smoke --out out/loadtest.json > /dev/null
 python -m repro.cli report out/loadtest.json --out out/loadtest.html
-python scripts/bench_serving.py --smoke
-
-echo "==> BENCH floor regression gate (kernels + telemetry + federation + chaos + serving)"
-python -m repro.cli diff --bench BENCH_kernels.json BENCH_telemetry.json BENCH_federation.json BENCH_chaos.json BENCH_serving.json
 
 echo "==> guard chaos smoke (stealth-NaN + hot lr, quarantine off)"
 CHAOS_ARGS=(
@@ -177,30 +173,10 @@ print("unguarded control ok: diverged as expected")
 echo "==> fault-tolerance experiment smoke"
 python -m pytest -q benchmarks/test_fault_tolerance.py --benchmark-disable
 
-echo "==> kernel perf smoke (floors: cnn_round >= 2x, max_pool2d >= 5x, conv2d >= 1.5x)"
-mkdir -p out
-python scripts/bench_kernels.py --smoke --output out/bench_kernels_smoke.json
+echo "==> benchmark self-tests"
+python -m pytest -q bench/tests
 
-echo "==> float64 bit-identity: 2-round fedavg, arena on vs off"
-python - <<'PY'
-from repro.experiments import ExperimentConfig, run_algorithm
-from repro.experiments.runner import _RESULT_CACHE
-from repro.nn import set_arena_enabled
-
-config = ExperimentConfig(
-    dataset="adult", num_clients=4, rounds=2, local_steps=2,
-    train_size=200, test_size=80, seed=0, width_multiplier=0.3,
-)
-set_arena_enabled(True)
-with_arena = run_algorithm(config, "fedavg")
-_RESULT_CACHE.clear()
-set_arena_enabled(False)
-without_arena = run_algorithm(config, "fedavg")
-set_arena_enabled(True)
-assert (
-    with_arena.final_params.tobytes() == without_arena.final_params.tobytes()
-), "arena on/off parameter vectors differ"
-print("bit-identity ok: final params byte-equal with arena on and off")
-PY
+echo "==> benchmark smoke run (four paper workloads, tiny sizes, checks on)"
+python bench/run.py --smoke --check --out out/bench_smoke.json
 
 echo "CI green."

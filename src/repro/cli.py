@@ -17,7 +17,6 @@ Examples::
     python -m repro.cli trace export out/trace.jsonl --out out/trace_chrome.json
     python -m repro.cli report out/runs/adult-taco-s0/runrecord.json --out out/report.html
     python -m repro.cli diff out/runs/a/runrecord.json out/runs/b/runrecord.json
-    python -m repro.cli diff --bench BENCH_kernels.json BENCH_telemetry.json
     python -m repro.cli list
 """
 
@@ -850,33 +849,14 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    """``repro diff`` — compare two run records or gate ``BENCH_*.json`` floors.
+    """``repro diff`` — compare two run records for accuracy and divergence.
 
     Exits 0 when nothing regressed, 1 on a regression, 2 on usage errors.
     """
-    from .report import check_bench, diff_records, has_regressions, render_deltas
+    from .report import diff_records, has_regressions, render_deltas
 
-    if args.bench:
-        failed = False
-        for path in args.bench:
-            try:
-                rows, failures = check_bench(path)
-            except (OSError, ValueError, json.JSONDecodeError) as error:
-                print(f"cannot check {path}: {error}", file=sys.stderr)
-                return 2
-            print(
-                render_table(
-                    ["name", "metric", "value", "floor/ceiling", "status"],
-                    rows,
-                    title=path,
-                )
-            )
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-                failed = True
-        return 1 if failed else 0
     if not (args.baseline and args.candidate):
-        print("diff needs two run records, or --bench BENCH_*.json files", file=sys.stderr)
+        print("diff needs two run records", file=sys.stderr)
         return 2
     from .analysis.runrecords import load_records
 
@@ -885,13 +865,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
     except (OSError, RunRecordError, json.JSONDecodeError) as error:
         print(f"cannot load run records: {error}", file=sys.stderr)
         return 2
-    deltas = diff_records(
-        baseline,
-        candidate,
-        accuracy_tolerance=args.acc_tolerance,
-        time_tolerance=args.time_tolerance,
-        check_performance=not args.no_perf,
-    )
+    deltas = diff_records(baseline, candidate, accuracy_tolerance=args.acc_tolerance)
     print(render_deltas(deltas, title=f"{args.baseline} vs {args.candidate}"))
     if has_regressions(deltas):
         for delta in deltas:
@@ -1067,7 +1041,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_p.add_argument("--seed", type=int, default=None)
     chaos_p.add_argument(
         "--out", default=None, metavar="PATH",
-        help="write the full campaign payload (BENCH_chaos.json layout) to PATH",
+        help="write the full campaign payload as JSON to PATH",
     )
     chaos_p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
     chaos_p.set_defaults(func=cmd_chaos)
@@ -1096,7 +1070,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     load_p.add_argument(
         "--out", default=None, metavar="PATH",
-        help="write the capacity payload (BENCH_serving.json layout) to PATH",
+        help="write the capacity payload as JSON to PATH",
     )
     load_p.add_argument("--json", action="store_true", help="emit JSON instead of charts")
     load_p.set_defaults(func=cmd_loadtest)
@@ -1196,25 +1170,13 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.set_defaults(func=cmd_report)
 
     diff_p = sub.add_parser(
-        "diff", help="compare two run records, or gate BENCH_*.json floors"
+        "diff", help="compare two run records: accuracy drop and divergence"
     )
     diff_p.add_argument("baseline", nargs="?", default=None, help="baseline runrecord.json")
     diff_p.add_argument("candidate", nargs="?", default=None, help="candidate runrecord.json")
     diff_p.add_argument(
-        "--bench", nargs="+", default=None, metavar="BENCH_JSON",
-        help="validate committed BENCH_*.json artifacts against fixed floors",
-    )
-    diff_p.add_argument(
         "--acc-tolerance", type=float, default=0.02, metavar="FRAC",
         help="allowed final-accuracy drop before failing (default: 0.02)",
-    )
-    diff_p.add_argument(
-        "--time-tolerance", type=float, default=0.5, metavar="FRAC",
-        help="allowed fractional wall-time growth (default: 0.5)",
-    )
-    diff_p.add_argument(
-        "--no-perf", action="store_true",
-        help="skip the wall-time comparison (records from different machines)",
     )
     diff_p.set_defaults(func=cmd_diff)
 

@@ -4,8 +4,9 @@ One :class:`FederateConfig` describes a complete semi-async run —
 population, cohort, buffer, staleness policy, dataset, algorithm — and
 :func:`run_federation` assembles the registry/coordinator pair from it.
 The ``repro federate`` CLI subcommand, the table10 scalability
-experiment, and ``scripts/bench_federation.py`` all go through here, so
-a config serialised into a runrecord fully reproduces its run.
+experiment, the ``async_chaos`` workload of ``bench/`` and the memory
+contract in ``tests/federation/test_coordinator.py`` all go through
+here, so a config serialised into a runrecord fully reproduces its run.
 """
 
 from __future__ import annotations

@@ -12,8 +12,10 @@ rate at which each algorithm still clears the accuracy floor:
    the same seed reproduces the record byte-for-byte (modulo
    ``timing``).
 
-``scripts/bench_chaos.py`` serialises the result as
-``BENCH_chaos.json``; ``repro diff --bench`` floors it in CI.
+``repro chaos`` prints or writes the result.  Tier-1
+(``tests/federation/test_chaos.py::TestChaosCampaign``) runs the default
+campaign and asserts both invariants and a loss threshold of at least
+0.3 for every algorithm on the grid.
 
 Federation modules are imported lazily inside functions:
 ``repro.federation.runner`` imports this package's plan/traffic
@@ -165,7 +167,7 @@ def _run_cell(spec: ChaosSpec, algorithm: str, loss_rate: float) -> Dict[str, An
 
 
 def run_chaos(spec: ChaosSpec, log=None) -> Dict[str, Any]:
-    """Run the full campaign; returns the ``BENCH_chaos.json`` payload.
+    """Run the full campaign; returns the ``{"chaos": ...}`` payload.
 
     ``log`` is an optional ``print``-like callable for progress lines.
     """

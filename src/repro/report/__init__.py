@@ -4,22 +4,13 @@
   diagnostic charts (α spread, drift cosines, Y_t, freeloader scores, ...);
 - :mod:`repro.report.text` — ASCII fallback built on
   :func:`repro.analysis.plot_series`;
-- :mod:`repro.report.diff` — field-by-field record comparison with
-  tolerances, plus ``BENCH_*.json`` floor gating for CI;
+- :mod:`repro.report.diff` — field-by-field record comparison with an
+  accuracy tolerance and a divergence check;
 - :mod:`repro.report.serving` — the load-test capacity chapter
   (throughput and latency vs offered load).
 """
 
-from .diff import (
-    KERNEL_SPEEDUP_FLOORS,
-    OVERHEAD_CEILING_PCT,
-    SERVING_MIN_SWEEP_POINTS,
-    FieldDelta,
-    check_bench,
-    diff_records,
-    has_regressions,
-    render_deltas,
-)
+from .diff import FieldDelta, diff_records, has_regressions, render_deltas
 from .html import render_html
 from .matrix import render_matrix_ascii, render_matrix_html
 from .serving import is_serving_payload, render_serving_ascii, render_serving_html
@@ -37,8 +28,4 @@ __all__ = [
     "diff_records",
     "render_deltas",
     "has_regressions",
-    "check_bench",
-    "KERNEL_SPEEDUP_FLOORS",
-    "OVERHEAD_CEILING_PCT",
-    "SERVING_MIN_SWEEP_POINTS",
 ]

@@ -92,6 +92,11 @@ class AggregationDefence(Strategy):
     def active_clients(self, state: ServerState, all_clients: Sequence[int]) -> List[int]:
         return self.base.active_clients(state, all_clients)
 
+    @property
+    def expelled(self) -> frozenset[int]:
+        """The base algorithm's expelled ids (empty when it never expels)."""
+        return getattr(self.base, "expelled", frozenset())
+
     def final_output(self, state: ServerState) -> np.ndarray:
         return self.base.final_output(state)
 

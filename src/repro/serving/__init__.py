@@ -11,7 +11,7 @@ Three pieces (docs/OBSERVABILITY.md, "Serving observability"):
 - :mod:`repro.serving.loadtest` — the open-loop load-test harness
   (``repro loadtest``): arrival-trace replay at swept offered rates,
   latency percentiles from telemetry histograms, and saturation-knee
-  detection feeding ``BENCH_serving.json``.
+  detection, all in CostModel virtual time.
 
 Everything is off by default: without ``delivery_tracing`` the
 coordinator takes no serving-related branch, so training numerics and

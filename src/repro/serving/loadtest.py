@@ -21,9 +21,11 @@ throughput flattens at ``arrivals / compute-spread`` while buffer
 residency (and e2e latency) climbs.
 
 The payload (``{"serving": {"sweep": [...], "knee": {...}}}``) is what
-``scripts/bench_serving.py`` writes to ``BENCH_serving.json`` and what
-``repro diff --bench`` gates in CI (see
-:func:`repro.report.diff.check_bench`).
+``repro loadtest --out`` writes and ``repro report`` renders.  Every
+number in it is CostModel virtual time, not a measurement.  Tier-1
+(``tests/serving/test_loadtest.py``) asserts the ``--smoke`` sweep's
+capacity floors: at least four points, positive throughput, ordered
+latency percentiles and a saturated knee.
 
 Everything here is deterministic: virtual-time simulation, seeded
 traces, exact-mode histograms — two runs of one config produce equal
@@ -180,8 +182,8 @@ def detect_knee(
 def run_loadtest(config: Optional[LoadTestConfig] = None) -> Dict[str, Any]:
     """Sweep the configured offered rates; returns the serving payload.
 
-    The result's single top-level ``serving`` key is the layout
-    ``check_bench`` dispatches on and ``repro report`` renders as the
+    The result's single top-level ``serving`` key is what ``repro report``
+    detects (:func:`repro.report.is_serving_payload`) and renders as the
     capacity chapter.
     """
     config = config or LoadTestConfig()

@@ -1,6 +1,7 @@
 """Unreliable-network layer on the async coordinator: inert-plan
 bit-identity, seeded chaos determinism, idempotent aggregation, leases,
-open-loop traces, and mid-chaos checkpoint/resume."""
+open-loop traces, mid-chaos checkpoint/resume, and the graded chaos
+campaign behind ``repro chaos``."""
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from repro.network import (
     RetryPolicy,
     poisson_trace,
 )
+from repro.network.harness import ChaosSpec, run_chaos
 
 
 def chaos_coordinator(algorithm="fedavg", seed=0, network=None, **kwargs):
@@ -320,3 +322,18 @@ class TestByteAccounting:
             coordinator.history.total_downlink_bytes
             == summary["dispatched"] * param_bytes
         )
+
+
+class TestChaosCampaign:
+    def test_default_campaign_holds_invariants_and_survives_loss(self):
+        """The default campaign's invariants hold, and every algorithm on
+        the grid still clears the accuracy floor at 30% upload loss."""
+        chaos = run_chaos(ChaosSpec())["chaos"]
+        assert chaos["invariants"] == {
+            "none_plan_bit_identical": True,
+            "same_seed_deterministic": True,
+        }
+        thresholds = chaos["loss_thresholds"]
+        assert set(thresholds) == {"fedavg", "taco", "scaffold"}
+        for algorithm, threshold in thresholds.items():
+            assert threshold is not None and threshold >= 0.3, (algorithm, threshold)

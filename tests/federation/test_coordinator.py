@@ -1,5 +1,5 @@
 """Async coordinator: determinism, sync-oracle bit-identity, staleness,
-degradation, and the O(cohort) memory contract."""
+degradation, expulsion records, and the O(cohort) memory contract."""
 
 import tracemalloc
 
@@ -17,13 +17,16 @@ from repro.fl.degradation import REASON_STALE, DegradationPolicy
 from repro.fl.sampling import FullParticipation
 from repro.fl.simulation import FederatedSimulation
 from repro.runrecord import build_run_record
+from repro.scenarios import AggregationDefence
+from repro.telemetry import InMemoryExporter, telemetry_session
 
 
-def small_coordinator(algorithm="fedavg", seed=0, **kwargs):
+def small_coordinator(algorithm="fedavg", seed=0, strategy=None, **kwargs):
     registry = ClientRegistry(
         population=200, seed=seed, samples_per_client=16, batch_size=8
     )
-    strategy = make_strategy(algorithm, local_lr=0.05, local_steps=2, rounds=6)
+    if strategy is None:
+        strategy = make_strategy(algorithm, local_lr=0.05, local_steps=2, rounds=6)
     defaults = dict(
         cohort_size=10,
         buffer_size=4,
@@ -187,6 +190,26 @@ class TestDegradation:
         )
         with pytest.raises(RuntimeError, match="stalled"):
             coordinator.run(2)
+
+
+class TestExpulsions:
+    @pytest.mark.parametrize("defended", [False, True], ids=["taco", "taco+median"])
+    def test_expelled_clients_are_recorded(self, defended):
+        """TACO's expulsions reach the flush's RoundRecord and the
+        ``agg.expelled`` counter, also under a robust aggregate."""
+        taco = make_strategy("taco", local_lr=0.05, local_steps=2, rounds=6)
+        strategy = taco
+        if defended:
+            median = make_strategy("median", local_lr=0.05, local_steps=2)
+            strategy = AggregationDefence(taco, median)
+        coordinator = small_coordinator(strategy=strategy)
+        with telemetry_session([InMemoryExporter()]) as telemetry:
+            coordinator.run(1)
+            taco.load_state_dict({**taco.state_dict(), "expelled": {7, 11}})
+            result = coordinator.run(3)
+            counted = telemetry.registry.counter("agg.expelled").value
+        assert [r.expelled for r in result.history.records] == [[], [7, 11], []]
+        assert counted == 2
 
 
 class TestMemoryContract:

@@ -26,7 +26,7 @@ def fresh_cache():
 
 
 class TestIntrospectionEquivalence:
-    @pytest.mark.parametrize("algorithm", ["fedavg", "taco"])
+    @pytest.mark.parametrize("algorithm", ["fedavg", "scaffold", "stem", "taco"])
     def test_two_round_run_byte_equal(self, tiny_config, fresh_cache, algorithm):
         config = tiny_config.with_overrides(rounds=2)
 

@@ -5,10 +5,10 @@ windows, per-call index construction, per-parameter concatenation).  The parity
 suite in ``tests/autograd/test_kernel_parity.py`` asserts the production
 kernels in :mod:`repro.autograd.ops` and the arena-backed vector methods in
 :mod:`repro.nn.module` match them — bit-identically where the operation order
-is preserved — and ``scripts/bench_kernels.py`` uses them as the "before"
-side of the speedup measurements.
+is preserved.  They are correctness oracles only: speed is measured end to
+end against the previous production path by ``bench/run.py``.
 
-Do not optimise anything here: slowness is the point.
+Do not optimise anything here: being obviously correct is the point.
 """
 
 from __future__ import annotations

@@ -13,6 +13,8 @@ from repro.serving import (
 )
 
 TINY = LoadTestConfig(rate_factors=(0.5, 2.0), bursts=8)
+#: The ``repro loadtest --smoke`` sweep.
+SMOKE = LoadTestConfig(rate_factors=(0.5, 2.0, 8.0, 32.0), bursts=10)
 
 
 class TestConfigValidation:
@@ -108,3 +110,13 @@ class TestRunLoadtest:
         first = run_loadtest(TINY)
         second = run_loadtest(TINY)
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+    def test_smoke_sweep_saturates_with_ordered_latencies(self):
+        """The capacity floors: >= 4 points, throughput > 0 everywhere,
+        p99 >= p50 > 0, and a sweep that reaches the saturation knee."""
+        serving = run_loadtest(SMOKE)["serving"]
+        assert len(serving["sweep"]) >= 4
+        for point in serving["sweep"]:
+            assert point["throughput"] > 0, point
+            assert point["latency"]["p99"] >= point["latency"]["p50"] > 0, point
+        assert serving["knee"]["saturated"]

@@ -2,9 +2,10 @@
 
 The two acceptance criteria from the telemetry work:
 
-1. Telemetry disabled (the default no-op) is invisible — a seeded TACO run
-   produces bit-identical final parameters and history whether or not a
-   live telemetry session was active, and the no-op path emits zero events.
+1. Telemetry disabled (the default no-op) is invisible — a seeded fedavg,
+   scaffold, stem or taco run produces bit-identical final parameters and
+   history whether or not a live telemetry session was active, and the
+   no-op path emits zero events.
 2. Telemetry enabled on a faulty, transport-tracked 2-round run emits spans
    for round/client/aggregate and counters for transport bytes and
    quarantined updates.
@@ -22,11 +23,11 @@ from repro.faults import FaultPlan
 from repro.telemetry import InMemoryExporter, NOOP, get_telemetry, telemetry_session
 
 
-def _run_taco(config, **kwargs):
+def _run(config, algorithm="taco", **kwargs):
     # Passing an explicit strategy bypasses the runner's result cache, so
     # every call here is a genuinely fresh training run.
     return run_algorithm(
-        config, "taco", strategy=make_experiment_strategy(config, "taco"), **kwargs
+        config, algorithm, strategy=make_experiment_strategy(config, algorithm), **kwargs
     )
 
 
@@ -36,19 +37,20 @@ def test_noop_is_default_and_stateless(tiny_config):
     # Shared inert singletons: no per-call allocation, nothing recorded.
     assert NOOP.span("round") is NOOP.span("client", client=1)
     assert NOOP.counter("x") is NOOP.histogram("y")
-    result = _run_taco(tiny_config)
+    result = _run(tiny_config)
     assert get_telemetry() is NOOP  # the run did not install anything
 
 
-def test_training_is_bit_identical_with_and_without_telemetry(tiny_config):
-    baseline = _run_taco(tiny_config)
+@pytest.mark.parametrize("algorithm", ["fedavg", "scaffold", "stem", "taco"])
+def test_training_is_bit_identical_with_and_without_telemetry(tiny_config, algorithm):
+    baseline = _run(tiny_config, algorithm)
 
     exporter = InMemoryExporter()
     with telemetry_session([exporter]):
-        instrumented = _run_taco(tiny_config)
+        instrumented = _run(tiny_config, algorithm)
     assert exporter.events, "enabled telemetry recorded nothing"
 
-    again = _run_taco(tiny_config)
+    again = _run(tiny_config, algorithm)
 
     for other in (instrumented, again):
         assert np.array_equal(baseline.final_params, other.final_params)
@@ -67,7 +69,7 @@ def test_enabled_run_emits_required_spans_and_counters(tiny_config):
     transport = Transport(NoCompression(), seed=config.seed)
 
     with telemetry_session([InMemoryExporter()]) as telemetry:
-        _run_taco(config, fault_plan=fault_plan, transport=transport)
+        _run(config, fault_plan=fault_plan, transport=transport)
         span_names = {record.name for record in telemetry.tracer.finished}
         names = set(telemetry.registry.names())
 
@@ -91,7 +93,7 @@ def test_enabled_run_emits_required_spans_and_counters(tiny_config):
 def test_round_spans_nest_client_spans(tiny_config):
     config = tiny_config.with_overrides(rounds=1)
     with telemetry_session([InMemoryExporter()]) as telemetry:
-        _run_taco(config)
+        _run(config)
         finished = list(telemetry.tracer.finished)
     rounds = [r for r in finished if r.name == "round"]
     clients = [r for r in finished if r.name == "client"]
@@ -105,9 +107,9 @@ def test_round_spans_nest_client_spans(tiny_config):
 def test_simulation_run_resets_stale_telemetry_state(tiny_config):
     config = tiny_config.with_overrides(rounds=2)
     with telemetry_session([InMemoryExporter()]) as telemetry:
-        _run_taco(config)
+        _run(config)
         first_rounds = telemetry.registry.counter("server.rounds").value
-        _run_taco(config)
+        _run(config)
         # The second run's non-resume start resets the registry (mirroring
         # Transport.reset), so counts do not accumulate across runs.
         assert telemetry.registry.counter("server.rounds").value == first_rounds
@@ -116,7 +118,7 @@ def test_simulation_run_resets_stale_telemetry_state(tiny_config):
 def test_history_carries_split_traffic_and_wall_times(tiny_config):
     config = tiny_config.with_overrides(rounds=2)
     transport = Transport(NoCompression(), seed=config.seed)
-    result = _run_taco(config, transport=transport)
+    result = _run(config, transport=transport)
     history = result.history
     assert history.total_uplink_bytes > 0
     assert history.total_downlink_bytes > 0
