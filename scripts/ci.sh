@@ -3,8 +3,8 @@
 # telemetry, run records, scenarios, federation, chaos, serving, guard),
 # and the wall-clock benchmark's self-tests plus its smoke run.
 #
-# Usage: scripts/ci.sh   (from the repo root; needs numpy, pytest,
-# pytest-benchmark and hypothesis)
+# Usage: scripts/ci.sh   (from the repo root; needs pyproject's dev extra:
+# python -m pip install -e ".[dev]")
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -27,7 +27,9 @@ true overhead.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Sequence
+import bisect
+from collections import abc
+from typing import Any, Callable, Dict, Sequence
 
 import numpy as np
 
@@ -155,9 +157,15 @@ class Strategy:
     def post_round(self, state: ServerState, updates: Sequence[ClientUpdate]) -> None:
         """Update auxiliary server state after aggregation."""
 
-    def active_clients(self, state: ServerState, all_clients: Sequence[int]) -> List[int]:
-        """Clients participating this round (TACO expels freeloaders)."""
-        return list(all_clients)
+    @property
+    def expelled(self) -> frozenset[int]:
+        """Clients that may no longer train (Eq. 10): the one expulsion hook."""
+        return frozenset()
+
+    def active_clients(self, state: ServerState, all_clients: Sequence[int]) -> Sequence[int]:
+        """``all_clients`` minus :attr:`expelled`, in order; O(|expelled|) memory."""
+        expelled = self.expelled
+        return _ActiveView(all_clients, expelled) if expelled else all_clients
 
     def final_output(self, state: ServerState) -> np.ndarray:
         """The model the algorithm reports at the end (TACO returns z_T)."""
@@ -193,3 +201,27 @@ class Strategy:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(lr={self.local_lr}, K={self.local_steps})"
+
+
+class _ActiveView(abc.Sequence):
+    """``ids`` minus ``expelled``, read-only and in order, never copying ``ids``.
+
+    Kept id i sits at position i + (expelled positions before it), counted by
+    bisecting the non-decreasing ``holes[j] - j`` (``index`` is O(1) on a range).
+    """
+
+    def __init__(self, ids: Sequence[int], expelled: frozenset[int]) -> None:
+        self._ids = ids
+        self._expelled = expelled
+        holes = sorted(ids.index(cid) for cid in expelled if cid in ids)
+        self._shifted = [hole - j for j, hole in enumerate(holes)]
+
+    def __len__(self) -> int:
+        return len(self._ids) - len(self._shifted)
+
+    def __getitem__(self, index) -> int:
+        index = range(len(self))[index]  # bounds-checked, negatives resolved
+        return self._ids[index + bisect.bisect_right(self._shifted, index)]
+
+    def __iter__(self):
+        return (cid for cid in self._ids if cid not in self._expelled)

@@ -26,7 +26,7 @@ Table VI ablation: with both off, TACO degenerates to FedAvg exactly.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, Sequence
 
 import numpy as np
 
@@ -270,9 +270,6 @@ class TACO(Strategy):
                 introspector.per_client(
                     "taco.strikes", {cid: float(n) for cid, n in self._strikes.items()}
                 )
-
-    def active_clients(self, state: ServerState, all_clients: Sequence[int]) -> List[int]:
-        return [cid for cid in all_clients if cid not in self._expelled]
 
     @property
     def expelled(self) -> frozenset[int]:

@@ -57,7 +57,8 @@ clients when the trace says so; after trace exhaustion the loop falls
 back to closed-loop dispatch so the requested rounds always complete.
 
 Memory contract (tested): per-flush cost is O(cohort + buffer), never
-O(population) — see docs/SCALING.md.
+O(population), expulsions included (``Strategy.active_clients`` is an
+O(|expelled|) view of the registry's ``range``) — see docs/SCALING.md.
 """
 
 from __future__ import annotations
@@ -252,7 +253,6 @@ class AsyncCoordinator(RoundEngine):
         self._seq = 0  # dispatch sequence; the deterministic heap tie-break
         self._last_flush_clock = 0.0
         self._since_flush = FlushTally()
-        self._expelled_seen: set = set()
 
         # Delivery-semantics state (only touched under an active plan).
         self._delivery_seq = 0  # per-dispatch idempotency key
@@ -263,18 +263,6 @@ class AsyncCoordinator(RoundEngine):
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _active_ids(self) -> Sequence[int]:
-        """Active population, O(1) when the strategy has no expulsions.
-
-        The base :class:`Strategy` returns all clients; detecting that the
-        method was never overridden lets the registry's ``range`` pass
-        through unmaterialized.  Strategies that do override (TACO's
-        expulsion) pay O(population) here — documented in SCALING.md.
-        """
-        if type(self.strategy).active_clients is Strategy.active_clients:
-            return self.registry.ids()
-        return self.strategy.active_clients(self.server.state, self.registry.ids())
-
     def _select(
         self, active: Sequence[int], want: int, open_loop: bool = False
     ) -> List[int]:
@@ -329,7 +317,7 @@ class AsyncCoordinator(RoundEngine):
 
         telemetry = get_telemetry()
         state = self.server.state
-        active = self._active_ids()
+        active = self.strategy.active_clients(state, self.registry.ids())
         if not len(active):
             raise RuntimeError("no active clients left to dispatch (all expelled)")
         selected = self._select(active, want, open_loop=open_loop)
@@ -678,8 +666,6 @@ class AsyncCoordinator(RoundEngine):
                 round_index, self._clock, outcomes, skipped=skipped
             )
 
-        expelled = self._newly_expelled()
-
         round_sim = self._clock - self._last_flush_clock
         self._last_flush_clock = self._clock
         self._cumulative_sim_time = self._clock
@@ -699,7 +685,6 @@ class AsyncCoordinator(RoundEngine):
             metrics,
             round_sim,
             participating=[p.client_id for p in batch],
-            expelled=expelled,
             dropped=sorted(self._since_flush.dropped),
             quarantined=quarantined,
             stragglers=list(self._since_flush.abandoned),
@@ -721,21 +706,6 @@ class AsyncCoordinator(RoundEngine):
             )
         )
         return record
-
-    def _newly_expelled(self) -> List[int]:
-        """Expulsions since the last flush, without scanning the population.
-
-        Strategies with expulsion (TACO) expose the expelled set directly;
-        diffing it against what we've already reported is O(expelled),
-        unlike re-deriving it from ``active_clients`` which is
-        O(population).
-        """
-        expelled_now = getattr(self.strategy, "expelled", None)
-        if not expelled_now:
-            return []
-        fresh = sorted(set(expelled_now) - self._expelled_seen)
-        self._expelled_seen.update(fresh)
-        return fresh
 
     # ------------------------------------------------------------------
     # Event loop

@@ -116,7 +116,6 @@ def save_coordinator(coordinator: AsyncCoordinator, directory) -> Path:
         "clock": coordinator._clock,
         "seq": coordinator._seq,
         "last_flush_clock": coordinator._last_flush_clock,
-        "expelled_seen": sorted(coordinator._expelled_seen),
         "network_plan": _plan_fingerprint(coordinator.network),
         "pending_ids": sorted(coordinator._pending_ids),
         "delivery_seq": coordinator._delivery_seq,
@@ -216,7 +215,6 @@ def load_coordinator(coordinator: AsyncCoordinator, directory) -> int:
     coordinator._clock = float(meta["clock"])
     coordinator._seq = int(meta["seq"])
     coordinator._last_flush_clock = float(meta["last_flush_clock"])
-    coordinator._expelled_seen = set(meta["expelled_seen"])
     # Delivery-semantics state (v1 checkpoints predate the network layer;
     # every field defaults to the pristine value).
     coordinator._delivery_seq = int(meta.get("delivery_seq", 0))

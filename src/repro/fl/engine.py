@@ -289,8 +289,12 @@ class RoundEngine:
         """Record the round, then publish its telemetry and diagnostics.
 
         ``fields`` are the engine-specific :class:`RoundRecord` fields
-        (participants, expulsions, faults, traffic).
+        (participants, faults, traffic).  Expulsions are ``strategy.expelled``
+        minus history's: resume and rollback restore both, so each shows once.
         """
+        expelled = self.strategy.expelled
+        if expelled:
+            expelled = expelled - set(self.history.expelled_clients)
         record = RoundRecord(
             round=round_index,
             test_accuracy=metrics[0],
@@ -302,6 +306,7 @@ class RoundEngine:
             update_norms={u.client_id: u.delta_norm for u in updates},
             aggregated=0 if skipped else len(updates),
             skipped=skipped,
+            expelled=sorted(expelled),
             **fields,
         )
         self.history.append(record)

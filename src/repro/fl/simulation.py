@@ -14,7 +14,7 @@ cadence, evaluation cadence, records — is :class:`~repro.fl.engine.RoundEngine
 shared with the semi-async :class:`~repro.federation.AsyncCoordinator`.
 
 Freeloader clients (``repro.attacks``) plug in through the same Client
-interface; TACO's expulsion shows up via ``Strategy.active_clients``.
+interface; TACO's expulsions (``Strategy.expelled``) leave the active set.
 
 Fault tolerance (see docs/ROBUSTNESS.md): an optional
 :class:`~repro.faults.FaultPlan` injects crashes, stragglers, corrupted
@@ -231,11 +231,11 @@ class FederatedSimulation(RoundEngine):
         self._begin_round(round_index)
 
         with telemetry.span("round", round=round_index):
-            previously_active = self.strategy.active_clients(state, sorted(self.clients))
-            participating = self.participation.select(previously_active, round_index, self.rng)
+            active = self.strategy.active_clients(state, sorted(self.clients))
+            participating = self.participation.select(active, round_index, self.rng)
             if not participating:
                 raise RuntimeError("no clients available to participate")
-            participating = self._over_select(previously_active, participating)
+            participating = self._over_select(active, participating)
 
             from ..faults import RoundFaultLog  # lightweight; only dataclasses
 
@@ -296,11 +296,6 @@ class FederatedSimulation(RoundEngine):
                 updates, stragglers = split_stragglers(updates, self.degradation.round_deadline)
             updates, quarantined, skipped = self._aggregate(round_index, updates)
 
-            still_active = set(
-                self.strategy.active_clients(self.server.state, sorted(self.clients))
-            )
-            expelled = [cid for cid in participating if cid not in still_active]
-
             round_sim = self._round_sim_time(updates, fault_log, stragglers)
             self._cumulative_sim_time += round_sim
             metrics = self._evaluate_round(round_index)
@@ -313,7 +308,6 @@ class FederatedSimulation(RoundEngine):
             metrics,
             round_sim,
             participating=list(participating),
-            expelled=expelled,
             dropped=fault_log.dropped,
             quarantined=quarantined,
             stragglers=stragglers,
@@ -332,9 +326,7 @@ class FederatedSimulation(RoundEngine):
         )
 
     # ------------------------------------------------------------------
-    def _over_select(
-        self, previously_active: Sequence[int], participating: List[int]
-    ) -> List[int]:
+    def _over_select(self, active: Sequence[int], participating: List[int]) -> List[int]:
         """Add spare clients so the round survives drops with a quorum."""
         if self.degradation is None:
             return participating
@@ -342,7 +334,7 @@ class FederatedSimulation(RoundEngine):
         if not extra:
             return participating
         chosen = set(participating)
-        pool = [cid for cid in previously_active if cid not in chosen]
+        pool = [cid for cid in active if cid not in chosen]
         if not pool:
             return participating
         take = min(extra, len(pool))

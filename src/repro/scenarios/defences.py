@@ -21,7 +21,7 @@ Scaffold its control variates *under* a robust server.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -89,13 +89,10 @@ class AggregationDefence(Strategy):
         self.base.post_round(state, updates)
         self.aggregator.post_round(state, updates)
 
-    def active_clients(self, state: ServerState, all_clients: Sequence[int]) -> List[int]:
-        return self.base.active_clients(state, all_clients)
-
     @property
     def expelled(self) -> frozenset[int]:
-        """The base algorithm's expelled ids (empty when it never expels)."""
-        return getattr(self.base, "expelled", frozenset())
+        """The base algorithm's expelled ids."""
+        return self.base.expelled
 
     def final_output(self, state: ServerState) -> np.ndarray:
         return self.base.final_output(state)

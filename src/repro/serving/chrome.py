@@ -21,6 +21,7 @@ JSON file), which backs ``repro trace export``.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Sequence, Union
 
@@ -42,21 +43,23 @@ _TID_OTHER_LANE = 9  # virtual-time spans with an unregistered lane label
 _SpanLike = Union[SpanRecord, Dict[str, Any]]
 
 
-def _as_fields(span: _SpanLike) -> Dict[str, Any]:
-    """Normalise a SpanRecord or a JSONL span event dict to plain fields."""
-    if isinstance(span, SpanRecord):
-        return {
-            "name": span.name,
-            "start": span.start,
-            "end": span.end,
-            "attributes": span.attributes,
-        }
-    return {
-        "name": span["name"],
-        "start": span["start"],
-        "end": span["end"],
-        "attributes": span.get("attributes", {}),
-    }
+def _as_fields(span: _SpanLike, where: str = "") -> Dict[str, Any]:
+    """Normalise a SpanRecord or a JSONL span event dict to plain fields;
+    one that cannot become a trace event raises ValueError after ``where``."""
+    source = vars(span) if isinstance(span, SpanRecord) else span
+    fields = {key: source.get(key) for key in ("name", "start", "end")}
+    fields["attributes"] = source.get("attributes", {})
+    times = (fields["start"], fields["end"])
+    if (
+        fields["name"] is None
+        or not all(isinstance(t, (int, float)) and math.isfinite(t) for t in times)
+        or not isinstance(fields["attributes"], dict)
+    ):
+        raise ValueError(
+            f"{where}a span needs a name, finite numeric start and end,"
+            " and object attributes"
+        )
+    return fields
 
 
 def chrome_trace_events(spans: Iterable[_SpanLike]) -> List[Dict[str, Any]]:
@@ -133,15 +136,19 @@ def write_chrome_trace(
 
 
 def load_spans_jsonl(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Read the span events out of a :class:`JsonlExporter` trace file."""
+    """Read the span events out of a :class:`JsonlExporter` trace file;
+    a malformed line raises :class:`ValueError` naming its line number."""
     spans: List[Dict[str, Any]] = []
     with Path(path).open(encoding="utf-8") as stream:
-        for line in stream:
+        for number, line in enumerate(stream, 1):
             line = line.strip()
             if not line:
                 continue
             event = json.loads(line)
+            if not isinstance(event, dict):
+                raise ValueError(f"{path}: line {number} is not a JSON object")
             if event.get("type") == "span":
+                _as_fields(event, where=f"{path}: line {number}: ")
                 spans.append(event)
     return spans
 

@@ -1,9 +1,19 @@
 """Tests for the Strategy base class and FedAvg."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import FedAvg, Strategy, make_strategy, algorithm_names, ALL_ALGORITHMS
+from repro.fl.sampling import (
+    AvailabilitySampling,
+    FullParticipation,
+    ReservoirSampling,
+    UniformSampling,
+)
 from repro.fl.state import ClientUpdate, ServerState
 
 
@@ -37,6 +47,85 @@ class TestStrategyBase:
             Strategy(local_lr=0.1, local_steps=2).aggregate(
                 ServerState(global_params=np.zeros(2)), []
             )
+
+
+class Expels(Strategy):
+    """A strategy whose only behaviour is a fixed expelled set."""
+
+    def __init__(self, expelled):
+        super().__init__()
+        self._expelled = frozenset(expelled)
+
+    @property
+    def expelled(self):
+        return self._expelled
+
+
+@st.composite
+def ids_and_expelled(draw):
+    """Registry-style ids (a range, or an unsorted list) and an expelled set."""
+    if draw(st.booleans()):
+        start = draw(st.integers(0, 40))
+        ids = range(start, draw(st.integers(start, start + 60)))
+    else:
+        ids = draw(st.lists(st.integers(0, 120), unique=True, max_size=60))
+    inside = draw(st.sets(st.sampled_from(ids))) if len(ids) else set()
+    outside = draw(st.sets(st.integers(-20, 200)))  # may land in ids as well
+    return ids, draw(st.sampled_from([set(), set(ids), inside | outside]))
+
+
+def selection(scheme, active, seed):
+    try:
+        return scheme.select(active, 0, np.random.default_rng(seed))
+    except ValueError:  # an empty active set, alike for the view and the list
+        return ValueError
+
+
+class TestActiveClients:
+    """``Strategy.active_clients``: ``all_clients`` minus ``expelled`` as a view."""
+
+    def test_nothing_expelled_passes_ids_through(self):
+        ids = range(10**6)
+        assert Strategy().active_clients(None, ids) is ids
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=ids_and_expelled())
+    def test_view_equals_materialised_list(self, case):
+        ids, expelled = case
+        view = Expels(expelled).active_clients(None, ids)
+        kept = [cid for cid in ids if cid not in expelled]
+        assert len(view) == len(kept)
+        assert list(view) == kept
+        assert [view[i] for i in range(-len(kept), len(kept))] == kept + kept
+        for index in (len(kept), -len(kept) - 1):
+            with pytest.raises(IndexError):
+                view[index]
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=ids_and_expelled(), seed=st.integers(0, 2**32 - 1))
+    def test_schemes_select_alike_from_view_and_list(self, case, seed):
+        ids, expelled = case
+        view = Expels(expelled).active_clients(None, ids)
+        kept = [cid for cid in ids if cid not in expelled]
+        for scheme in (
+            FullParticipation(),
+            UniformSampling(0.3),
+            AvailabilitySampling(0.5),
+            ReservoirSampling(4),
+        ):
+            assert selection(scheme, view, seed) == selection(scheme, kept, seed)
+
+    def test_view_memory_is_independent_of_population(self):
+        tracemalloc.start()
+        try:
+            view = Expels({3, 999_999}).active_clients(None, range(1_000_000))
+            cohort = ReservoirSampling(20).select(view, 0, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(view) == 999_998 and view[3] == 4 and view[-1] == 999_998
+        assert len(cohort) == 20 and not {3, 999_999} & set(cohort)
+        assert peak < 64 * 1024
 
 
 class TestFedAvg:

@@ -173,7 +173,7 @@ class TestFreeloaderExpulsion:
         assert 2 not in taco.expelled
         self._round(taco, state, updates)
         assert 2 in taco.expelled
-        assert taco.active_clients(state, [0, 1, 2]) == [0, 1]
+        assert list(taco.active_clients(state, [0, 1, 2])) == [0, 1]
 
     def test_detection_disabled(self):
         taco = TACO(local_lr=0.1, local_steps=2, kappa=0.01, expulsion_limit=1, detect_freeloaders=False)

@@ -213,12 +213,14 @@ class TestExpulsions:
 
 
 class TestMemoryContract:
-    def test_million_client_registry_stays_in_budget(self):
+    @pytest.mark.parametrize("algorithm", ["fedavg", "taco"])
+    def test_million_client_registry_stays_in_budget(self, algorithm):
         """Peak traced memory at 1M clients: absolute budget AND within
-        2x of the identical 1k-client run."""
+        2x of the identical 1k-client run, for TACO as for FedAvg."""
 
         def measured_run(population):
             config = FederateConfig(
+                algorithm=algorithm,
                 population=population,
                 cohort_size=20,
                 buffer_size=10,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import make_strategy
+from repro.algorithms import FedAvg, make_strategy
 from repro.federation import AsyncCoordinator, ClientRegistry
 from repro.fl import checkpoint
 from repro.fl.sampling import FullParticipation
@@ -22,13 +22,16 @@ from repro.telemetry import telemetry_session
 POPULATION = 6
 
 
-def make_engine(kind, algorithm="taco", eval_every=1, rounds=4):
+def make_engine(
+    kind, algorithm="taco", eval_every=1, rounds=4, strategy=None, cohort=POPULATION
+):
     """A sync simulation or an async coordinator at B = cohort over one registry."""
     registry = ClientRegistry(
         population=POPULATION, seed=0, samples_per_client=16, batch_size=8
     )
     common = dict(
-        strategy=make_strategy(algorithm, local_lr=0.05, local_steps=2, rounds=rounds),
+        strategy=strategy
+        or make_strategy(algorithm, local_lr=0.05, local_steps=2, rounds=rounds),
         test_set=registry.test_set(40),
         participation=FullParticipation(),
         eval_every=eval_every,
@@ -40,8 +43,8 @@ def make_engine(kind, algorithm="taco", eval_every=1, rounds=4):
         return FederatedSimulation(model=model, clients=clients, **common)
     return AsyncCoordinator(
         registry=registry,
-        cohort_size=POPULATION,
-        buffer_size=POPULATION,
+        cohort_size=cohort,
+        buffer_size=cohort,
         model=model,
         **common,
     )
@@ -203,3 +206,81 @@ def test_unstamped_checkpoint_still_resumes_bit_exact(tmp_path, kind):
     resumed = make_engine(kind).run(4, resume_from=tmp_path)
     assert resumed.final_params.tobytes() == straight.final_params.tobytes()
     np.testing.assert_array_equal(resumed.history.accuracies, straight.history.accuracies)
+
+
+class ExpelsClientZero(FedAvg):
+    """Expels client 0 once a round is aggregated, through ``expelled`` alone."""
+
+    name = "expel-zero"
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reset()
+
+    def reset(self):
+        self._expelled = frozenset()
+
+    def post_round(self, state, updates):
+        self._expelled = frozenset({0})
+
+    @property
+    def expelled(self):
+        return self._expelled
+
+    def state_dict(self):
+        return {"expelled": set(self._expelled)}
+
+    def load_state_dict(self, state):
+        self._expelled = frozenset(state.get("expelled", ()))
+
+
+def expelling_engine(kind):
+    # Async keeps one client spare: at B = population a flush would wait for
+    # an upload the expelled client can no longer send.
+    return make_engine(
+        kind,
+        strategy=ExpelsClientZero(local_lr=0.05, local_steps=2),
+        cohort=POPULATION if kind == "sync" else POPULATION - 1,
+    )
+
+
+def assert_client_zero_expelled_once(result):
+    records = result.history.records
+    assert [r.expelled for r in records] == [[0]] + [[]] * (len(records) - 1)
+    assert 0 in records[0].participating
+    assert not any(0 in r.participating for r in records[1:])
+
+
+@pytest.mark.parametrize("kind", ENGINES)
+def test_expelled_hook_drives_records_and_dispatch(kind):
+    """Both engines record an expulsion from ``Strategy.expelled`` once and honour it."""
+    assert_client_zero_expelled_once(expelling_engine(kind).run(4))
+
+
+@pytest.mark.parametrize("kind", ENGINES)
+@pytest.mark.parametrize("via_checkpoint", [True, False], ids=["resume", "second-run"])
+def test_split_run_records_expulsion_once(tmp_path, kind, via_checkpoint):
+    straight = expelling_engine(kind).run(4)
+    first = expelling_engine(kind)
+    first.run(2, checkpoint_every=2, checkpoint_dir=tmp_path)
+    if via_checkpoint:
+        split = expelling_engine(kind).run(4, resume_from=tmp_path)
+    else:
+        split = first.run(4)
+    assert split.final_params.tobytes() == straight.final_params.tobytes()
+    assert_client_zero_expelled_once(split)
+
+
+def test_async_checkpoint_with_expelled_seen_still_resumes(tmp_path):
+    """Async checkpoints from before expulsions were read off history keep loading."""
+    straight = expelling_engine("async").run(4)
+    expelling_engine("async").run(2, checkpoint_every=2, checkpoint_dir=tmp_path)
+    meta_path = tmp_path / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    assert "expelled_seen" not in meta
+    meta["expelled_seen"] = [0]
+    meta_path.write_text(json.dumps(meta))
+
+    resumed = expelling_engine("async").run(4, resume_from=tmp_path)
+    assert resumed.final_params.tobytes() == straight.final_params.tobytes()
+    assert_client_zero_expelled_once(resumed)

@@ -36,15 +36,14 @@ class ExpellingStrategy(FedAvg):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._expelled = False
+        self._aggregated = False
 
     def post_round(self, state, updates):
-        self._expelled = True
+        self._aggregated = True
 
-    def active_clients(self, state, all_clients):
-        if self._expelled:
-            return [cid for cid in all_clients if cid != 0]
-        return list(all_clients)
+    @property
+    def expelled(self):
+        return frozenset({0}) if self._aggregated else frozenset()
 
 
 class TestDivergenceHandling:

@@ -331,9 +331,30 @@ class TestServingObservability:
         assert {"serving.delivery", "serving.flush"} <= {e["name"] for e in spans}
         assert all(isinstance(e["ts"], int) for e in spans)
 
-    def test_trace_export_empty_source_is_usage_error(self, tmp_path, capsys):
-        source = tmp_path / "empty.jsonl"
-        source.write_text("")
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("", "no span events"),
+            ('{"type": "span", "start": 0, "end": 1}', "line 1: a span needs"),
+            ('{"type": "span", "name": "x", "end": 1}', "line 1: a span needs"),
+            ('{"type": "span", "name": "x", "start": 0}', "line 1: a span needs"),
+            ("[1, 2]", "line 1 is not a JSON object"),
+            ('{"type": "metrics"}\n{"type": "span", "name": "x", "start": "0", "end": 1}',
+             "line 2: a span needs"),
+            ('{"type": "span", "name": "x", "start": Infinity, "end": 1}',
+             "line 1: a span needs"),
+            ('{"type": "span", "name": "x", "start": 0, "end": 1, "attributes": []}',
+             "line 1: a span needs"),
+        ],
+        ids=["empty", "no-name", "no-start", "no-end", "array", "text-start",
+             "infinite-start", "list-attributes"],
+    )
+    def test_trace_export_empty_source_is_usage_error(self, tmp_path, capsys, content, message):
+        """An empty or malformed trace is one line on stderr and exit 2, not a traceback."""
+        source = tmp_path / "trace.jsonl"
+        source.write_text(content)
         assert main(["trace", "export", str(source),
                      "--out", str(tmp_path / "chrome.json")]) == 2
-        assert "no span events" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and err.startswith("cannot export trace:")
+        assert err.count("\n") == 1
