@@ -28,19 +28,6 @@ class TrafficLog:
 
     uplink_bytes_per_round: List[int] = field(default_factory=list)
     downlink_bytes_per_round: List[int] = field(default_factory=list)
-    #: Of each round's uplink total, the bytes that were retransmissions
-    #: (failed attempts under the retry policy).  Always <= the uplink
-    #: entry for the same round.
-    retry_bytes_per_round: List[int] = field(default_factory=list)
-
-    @property
-    def bytes_per_round(self) -> List[int]:
-        """Back-compat alias for the uplink series (the original meaning)."""
-        return self.uplink_bytes_per_round
-
-    @bytes_per_round.setter
-    def bytes_per_round(self, value: List[int]) -> None:
-        self.uplink_bytes_per_round = list(value)
 
     @property
     def total_uplink_bytes(self) -> int:
@@ -57,11 +44,6 @@ class TrafficLog:
         """Uplink + downlink bytes across the run."""
         return self.total_uplink_bytes + self.total_downlink_bytes
 
-    @property
-    def total_retry_bytes(self) -> int:
-        """All retransmitted upload bytes across the run."""
-        return sum(self.retry_bytes_per_round)
-
     def record_uplink(self, round_bytes: int) -> None:
         """Append one round's uplink total."""
         self.uplink_bytes_per_round.append(round_bytes)
@@ -70,15 +52,10 @@ class TrafficLog:
         """Append one round's downlink total."""
         self.downlink_bytes_per_round.append(round_bytes)
 
-    def record(self, round_bytes: int) -> None:
-        """Back-compat alias for :meth:`record_uplink`."""
-        self.record_uplink(round_bytes)
-
     def reset(self) -> None:
         """Clear both directions."""
         self.uplink_bytes_per_round = []
         self.downlink_bytes_per_round = []
-        self.retry_bytes_per_round = []
 
 
 class Transport:
@@ -134,7 +111,7 @@ class Transport:
         ``retries`` maps ``client_id -> failed attempt count`` (the fault
         injector's log): every failed attempt retransmitted the compressed
         payload, so those bytes are charged into the uplink total and
-        tracked separately in ``retry_bytes_per_round``.
+        counted separately by the ``transport.retry_bytes`` counter.
         """
         round_bytes = 0
         retry_bytes = 0
@@ -146,7 +123,6 @@ class Transport:
             retry_bytes += compressed.payload_bytes * failed
         round_bytes += retry_bytes
         self.log.record_uplink(round_bytes)
-        self.log.retry_bytes_per_round.append(retry_bytes)
         telemetry = get_telemetry()
         telemetry.counter("transport.uplink_bytes").add(round_bytes)
         if retry_bytes:

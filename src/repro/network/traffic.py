@@ -183,6 +183,7 @@ TRACES: Dict[str, Callable[..., ArrivalTrace]] = {
 
 
 def trace_names() -> Tuple[str, ...]:
+    """Sorted names of the registered arrival-trace generators."""
     return tuple(sorted(TRACES))
 
 

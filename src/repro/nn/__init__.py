@@ -8,7 +8,7 @@ from .dropout import Dropout
 from .embedding import Embedding
 from .linear import Linear
 from .loss import CrossEntropyLoss, L2Regularizer, MSELoss
-from .module import Module, Parameter, Sequential, arena_enabled, set_arena_enabled
+from .module import Module, Parameter, Sequential
 from .normalization import BatchNorm2d, LayerNorm
 from .pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 from .recurrent import LSTM, LSTMCell
@@ -22,8 +22,6 @@ __all__ = [
     "BatchedModelProgram",
     "build_batched_forward",
     "supports_batched",
-    "arena_enabled",
-    "set_arena_enabled",
     "Linear",
     "Conv2d",
     "MaxPool2d",

@@ -3,24 +3,25 @@
 Every FL algorithm in this repo operates on flat parameter/gradient vectors
 (the ``w`` of the paper's math), so the client hot loop crosses the
 structured-parameters <-> flat-vector boundary twice per local step.  The
-naive crossing concatenates / re-allocates per parameter on every call; the
-arena instead preallocates **one** contiguous buffer per model and rebinds
-each :class:`~repro.nn.module.Parameter`'s ``data`` to a zero-copy view into
-it, so:
+arena is the only layout behind that crossing: it preallocates **one**
+contiguous buffer per model and rebinds each
+:class:`~repro.nn.module.Parameter`'s ``data`` to a zero-copy view into it,
+so:
 
 - ``parameters_vector`` is a single ``buffer.copy()``,
-- ``load_vector`` is a single ``np.copyto`` into the buffer,
+- ``load_vector`` is a single ``np.copyto`` into the buffer, and
 - ``gradient_vector`` reads a parallel gradient buffer that backward passes
-  accumulate into directly (see ``Parameter._accumulate``), and
-- ``add_to_gradients`` writes through per-parameter gradient views without
-  allocating.
+  accumulate into directly (see ``Parameter._accumulate``).
+
+A module without parameters gets a size-0 arena in the compute dtype;
+parameters of mixed dtypes cannot share one buffer and raise ``ValueError``.
 
 Aliasing rules (see docs/PERFORMANCE.md): views stay valid as long as
 nothing rebinds ``param.data``.  All in-tree code mutates parameters
 in place (``param.data[...] = ...``, ``param.data -= ...``); if a parameter
 is ever rebound — or the parameter list itself changes — :meth:`owns`
 returns ``False`` and the owning module transparently rebuilds the arena,
-re-copying current values, so correctness never depends on the fast path.
+re-copying current values, so correctness never depends on a stale arena.
 Vectors returned to callers are always independent copies; the buffers are
 never handed out.
 """
@@ -31,20 +32,31 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..autograd import get_default_dtype
+
+
+def _common_dtype(params: Sequence) -> np.dtype:
+    """The one dtype of ``params``: the compute dtype when there are none.
+
+    Raises ``ValueError`` naming the dtypes when they differ, since one
+    flat buffer cannot hold them all.
+    """
+    dtypes = {p.data.dtype for p in params}
+    if len(dtypes) > 1:
+        names = ", ".join(sorted(str(d) for d in dtypes))
+        raise ValueError(f"parameters mix dtypes ({names}); a flat vector needs one")
+    return dtypes.pop() if dtypes else get_default_dtype()
+
 
 class FlatParameterArena:
-    """Contiguous parameter + gradient storage for one module tree.
-
-    Build via :meth:`build`, which returns ``None`` when the parameter set
-    cannot be arena-backed (no parameters, or mixed dtypes).
-    """
+    """Contiguous parameter + gradient storage for one module tree."""
 
     __slots__ = ("buffer", "grad_buffer", "size", "_params", "_views", "_grad_views")
 
     def __init__(self, params: Sequence) -> None:
         self._params = list(params)
         total = sum(int(p.size) for p in self._params)
-        dtype = self._params[0].data.dtype
+        dtype = _common_dtype(self._params)
         self.size = total
         self.buffer = np.empty(total, dtype=dtype)
         self.grad_buffer = np.zeros(total, dtype=dtype)
@@ -64,17 +76,6 @@ class FlatParameterArena:
             self._views.append(view)
             self._grad_views.append(grad_view)
             offset += span
-
-    @classmethod
-    def build(cls, params: Sequence) -> Optional["FlatParameterArena"]:
-        """Construct an arena, or ``None`` if ``params`` cannot be backed."""
-        params = list(params)
-        if not params:
-            return None
-        dtype = params[0].data.dtype
-        if any(p.data.dtype != dtype for p in params):
-            return None
-        return cls(params)
 
     # ------------------------------------------------------------------
     def owns(self, params: Sequence) -> bool:
@@ -111,20 +112,6 @@ class FlatParameterArena:
             elif param.grad is not grad_view:
                 grad_view[...] = param.grad
         return self.grad_buffer.copy()
-
-    def add_to_gradients(self, vector: np.ndarray) -> None:
-        """Accumulate a flat vector into per-parameter grads without allocating."""
-        vector = np.asarray(vector).reshape(-1)
-        offset = 0
-        for param, grad_view in zip(self._params, self._grad_views):
-            span = int(param.size)
-            chunk = vector[offset : offset + span].reshape(param.shape)
-            if param.grad is None:
-                np.copyto(grad_view, chunk)
-                param.grad = grad_view
-            else:
-                param.grad += chunk
-            offset += span
 
 
 class BatchedClientArena:
@@ -175,22 +162,14 @@ class BatchedClientArena:
         self._bound: Optional[List] = None
 
     @classmethod
-    def from_parameters(
-        cls, clients: int, params: Sequence
-    ) -> Optional["BatchedClientArena"]:
+    def from_parameters(cls, clients: int, params: Sequence) -> "BatchedClientArena":
         """Build an arena shaped after a template parameter list.
 
-        Returns ``None`` when the template cannot be arena-backed (no
-        parameters, or mixed dtypes) — same eligibility rule as
-        :meth:`FlatParameterArena.build`.
+        Same dtype rule as :class:`FlatParameterArena`: the compute dtype
+        when there are no parameters, ``ValueError`` when dtypes mix.
         """
         params = list(params)
-        if not params:
-            return None
-        dtype = params[0].data.dtype
-        if any(p.data.dtype != dtype for p in params):
-            return None
-        return cls(clients, [p.shape for p in params], dtype)
+        return cls(clients, [p.shape for p in params], _common_dtype(params))
 
     # ------------------------------------------------------------------
     def view(self, index: int) -> np.ndarray:

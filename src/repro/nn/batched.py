@@ -80,9 +80,7 @@ def build_batched_forward(template: Module) -> Optional[BatchedForward]:
 
 def supports_batched(template: Module) -> bool:
     """Whether the batched execution path can replicate ``template``."""
-    if build_batched_forward(template) is None:
-        return False
-    return BatchedClientArena.from_parameters(1, template.parameters()) is not None
+    return build_batched_forward(template) is not None
 
 
 class BatchedModelProgram:
@@ -94,12 +92,7 @@ class BatchedModelProgram:
             raise ValueError(
                 f"no batched forward registered for {type(template).__name__}"
             )
-        template_params = template.parameters()
-        arena = BatchedClientArena.from_parameters(clients, template_params)
-        if arena is None:
-            raise ValueError(
-                f"{type(template).__name__} parameters cannot be arena-backed"
-            )
+        arena = BatchedClientArena.from_parameters(clients, template.parameters())
         self.clients = clients
         self.arena = arena
         self._forward_fn = forward_fn

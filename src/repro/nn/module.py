@@ -24,23 +24,6 @@ from .arena import FlatParameterArena
 #: and a branch per call.
 _FORWARD_CALL_HOOK = None
 
-#: Global switch for the flat-parameter arena fast path.  On by default;
-#: disabled only by tests that prove the arena and legacy per-parameter
-#: paths are byte-identical (see tests/nn/test_arena.py).
-_ARENA_ENABLED = True
-
-
-def set_arena_enabled(enabled: bool) -> None:
-    """Enable/disable the flat-parameter arena fast path globally."""
-    global _ARENA_ENABLED
-    _ARENA_ENABLED = bool(enabled)
-
-
-def arena_enabled() -> bool:
-    """Whether modules currently use the flat-parameter arena fast path."""
-    return _ARENA_ENABLED
-
-
 class Parameter(Tensor):
     """A trainable tensor registered on a :class:`Module`.
 
@@ -148,78 +131,35 @@ class Module:
     # ------------------------------------------------------------------
     # Flat-vector view (the FL boundary)
     # ------------------------------------------------------------------
-    def _arena(self):
-        """Return a valid :class:`FlatParameterArena` for this module, or ``None``.
+    def _arena(self) -> FlatParameterArena:
+        """Return a valid :class:`FlatParameterArena` for this module.
 
         The cached arena is revalidated with an identity check per call;
         any parameter rebinding or registration change invalidates it and
         triggers a transparent rebuild from the current parameter values.
         """
-        if not _ARENA_ENABLED:
-            return None
         params = self.parameters()
         arena = self._flat_arena
         if arena is not None and arena.owns(params):
             return arena
-        arena = FlatParameterArena.build(params)
+        arena = FlatParameterArena(params)
         object.__setattr__(self, "_flat_arena", arena)
         return arena
 
     def parameters_vector(self) -> np.ndarray:
         """Concatenate all parameters into a single flat vector."""
-        arena = self._arena()
-        if arena is not None:
-            return arena.parameters_vector()
-        if not self.parameters():
-            return np.zeros(0)
-        return np.concatenate([param.data.reshape(-1) for param in self.parameters()])
+        return self._arena().parameters_vector()
 
     def gradient_vector(self) -> np.ndarray:
         """Concatenate all parameter gradients (zeros where unset)."""
-        arena = self._arena()
-        if arena is not None:
-            return arena.gradient_vector()
-        chunks = []
-        for param in self.parameters():
-            if param.grad is None:
-                chunks.append(np.zeros(param.size, dtype=param.data.dtype))
-            else:
-                chunks.append(param.grad.reshape(-1))
-        return np.concatenate(chunks) if chunks else np.zeros(0)
+        return self._arena().gradient_vector()
 
     def load_vector(self, vector: np.ndarray) -> None:
         """Load a flat parameter vector back into the structured parameters."""
         arena = self._arena()
-        expected = arena.size if arena is not None else self.num_parameters()
-        if vector.size != expected:
-            raise ValueError(f"vector has {vector.size} entries, model needs {expected}")
-        if arena is not None:
-            arena.load_vector(vector)
-            return
-        offset = 0
-        for param in self.parameters():
-            span = param.size
-            param.data[...] = vector[offset : offset + span].reshape(param.shape)
-            offset += span
-
-    def add_to_gradients(self, vector: np.ndarray) -> None:
-        """Add a flat vector into the per-parameter gradients (creates them)."""
-        arena = self._arena()
-        expected = arena.size if arena is not None else self.num_parameters()
-        if vector.size != expected:
-            raise ValueError(f"vector has {vector.size} entries, model needs {expected}")
-        if arena is not None:
-            arena.add_to_gradients(vector)
-            return
-        offset = 0
-        for param in self.parameters():
-            span = param.size
-            chunk = vector[offset : offset + span].reshape(param.shape)
-            if param.grad is None:
-                param.grad = chunk.copy()
-            else:
-                param.grad += chunk
-            offset += span
+        if vector.size != arena.size:
+            raise ValueError(f"vector has {vector.size} entries, model needs {arena.size}")
+        arena.load_vector(vector)
 
     # ------------------------------------------------------------------
     # State dict

@@ -62,13 +62,9 @@ class Telemetry:
         """The gauge identified by (name, labels)."""
         return self.registry.gauge(name, **labels)
 
-    def histogram(self, name: str, bounds=None, **labels: Any) -> Histogram:
-        """The histogram identified by (name, labels).
-
-        ``bounds`` selects O(k)-memory bucketed mode on first creation
-        (see :class:`~repro.telemetry.metrics.Histogram`).
-        """
-        return self.registry.histogram(name, bounds=bounds, **labels)
+    def histogram(self, name: str, **labels: Any) -> Histogram:
+        """The histogram identified by (name, labels)."""
+        return self.registry.histogram(name, **labels)
 
     def event(self, name: str, **fields: Any) -> None:
         """Emit a point event (no duration) straight to the exporters."""
@@ -160,7 +156,7 @@ class NoopTelemetry:
         """A shared no-op instrument."""
         return _NOOP_INSTRUMENT
 
-    def histogram(self, name: str, bounds=None, **labels: Any) -> _NoopInstrument:
+    def histogram(self, name: str, **labels: Any) -> _NoopInstrument:
         """A shared no-op instrument."""
         return _NOOP_INSTRUMENT
 

@@ -71,60 +71,27 @@ class Gauge:
 class Histogram:
     """A distribution of observations with summary statistics.
 
-    Two storage modes:
-
-    - **exact** (default): observations are retained so quantiles stay
-      exact; at this simulator's scale (thousands of rounds) that costs
-      kilobytes, not megabytes.
-    - **bucketed** (``bounds=(b1, ..., bk)``): only per-bucket counts plus
-      count/sum/min/max are kept — O(k) memory regardless of observation
-      volume, the right trade for high-rate load tests.  Quantiles are
-      linearly interpolated over the bucket bounds.
+    Observations are retained so quantiles stay exact; at this simulator's
+    scale (thousands of rounds) that costs kilobytes, not megabytes.
     """
 
     kind = "histogram"
 
-    def __init__(self, name: str, labels: LabelKey = (), bounds=None) -> None:
+    def __init__(self, name: str, labels: LabelKey = ()) -> None:
         self.name = name
         self.labels = labels
         self.observations: List[float] = []
-        if bounds is not None:
-            bounds = tuple(float(b) for b in bounds)
-            if not bounds or list(bounds) != sorted(bounds):
-                raise ValueError(
-                    f"histogram {name!r} bounds must be a non-empty ascending sequence"
-                )
-        self.bounds = bounds
-        self.bucket_counts: List[int] = (
-            [0] * (len(bounds) + 1) if bounds is not None else []
-        )
-        self._count = 0
-        self._sum = 0.0
-        self._min = float("inf")
-        self._max = float("-inf")
 
     def observe(self, value: float) -> None:
         """Record one observation."""
-        value = float(value)
-        if self.bounds is None:
-            self.observations.append(value)
-            return
-        self._count += 1
-        self._sum += value
-        self._min = min(self._min, value)
-        self._max = max(self._max, value)
-        self.bucket_counts[int(np.searchsorted(self.bounds, value))] += 1
+        self.observations.append(float(value))
 
     @property
     def count(self) -> int:
-        if self.bounds is not None:
-            return self._count
         return len(self.observations)
 
     @property
     def total(self) -> float:
-        if self.bounds is not None:
-            return self._sum
         return float(sum(self.observations))
 
     @property
@@ -132,8 +99,6 @@ class Histogram:
         """Smallest observation; 0 when empty."""
         if not self.count:
             return 0.0
-        if self.bounds is not None:
-            return self._min
         return float(min(self.observations))
 
     @property
@@ -141,40 +106,15 @@ class Histogram:
         """Largest observation; 0 when empty."""
         if not self.count:
             return 0.0
-        if self.bounds is not None:
-            return self._max
         return float(max(self.observations))
 
     def percentile(self, q: float) -> float:
-        """The q-th percentile (``q`` in [0, 100]); 0 when empty.
-
-        Exact over stored observations; linearly interpolated over the
-        bucket bounds in bucketed mode.
-        """
+        """The exact q-th percentile (``q`` in [0, 100]); 0 when empty."""
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {q}")
-        if self.bounds is None:
-            if not self.observations:
-                return 0.0
-            return float(np.percentile(self.observations, q))
-        if not self._count:
+        if not self.observations:
             return 0.0
-        target = q / 100.0 * self._count
-        cumulative = 0
-        for index, bucket_count in enumerate(self.bucket_counts):
-            if cumulative + bucket_count >= target and bucket_count:
-                lower = self.bounds[index - 1] if index > 0 else self._min
-                upper = (
-                    self.bounds[index] if index < len(self.bounds) else self._max
-                )
-                lower = max(lower, self._min)
-                upper = min(upper, self._max)
-                if upper <= lower:
-                    return float(lower)
-                fraction = (target - cumulative) / bucket_count
-                return float(lower + (upper - lower) * min(max(fraction, 0.0), 1.0))
-            cumulative += bucket_count
-        return float(self._max)
+        return float(np.percentile(self.observations, q))
 
     def percentiles(self, qs) -> Tuple[float, ...]:
         """The requested percentiles, in order (see :meth:`percentile`)."""
@@ -186,41 +126,20 @@ class Histogram:
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-safe summary: count, sum, min/max, p50/p95 plus the raw
-        observations (exact mode) or bounds + bucket counts (bucketed mode),
-        so an exported snapshot re-loads losslessly
+        observations, so an exported snapshot re-loads losslessly
         (:func:`registry_from_snapshot`).
         """
         if not self.count:
             return {"count": 0, "sum": 0.0}
-        out = {
+        return {
             "count": self.count,
             "sum": self.total,
-            "min": self._min if self.bounds is not None else float(min(self.observations)),
-            "max": self._max if self.bounds is not None else float(max(self.observations)),
+            "min": self.minimum,
+            "max": self.maximum,
             "p50": self.percentile(50.0),
             "p95": self.percentile(95.0),
+            "observations": list(self.observations),
         }
-        if self.bounds is not None:
-            out["bounds"] = list(self.bounds)
-            out["bucket_counts"] = list(self.bucket_counts)
-        else:
-            out["observations"] = list(self.observations)
-        return out
-
-    def _load_state(
-        self,
-        count: int,
-        total: float,
-        minimum: float,
-        maximum: float,
-        bucket_counts: List[int],
-    ) -> None:
-        """Restore bucketed-mode state (used by :func:`registry_from_snapshot`)."""
-        self._count = int(count)
-        self._sum = float(total)
-        self._min = float(minimum)
-        self._max = float(maximum)
-        self.bucket_counts = [int(c) for c in bucket_counts]
 
 
 class MetricRegistry:
@@ -244,15 +163,11 @@ class MetricRegistry:
         """Get or create the gauge identified by (name, labels)."""
         return self._get(name, "gauge", labels)
 
-    def histogram(self, name: str, bounds=None, **labels: Any) -> Histogram:
-        """Get or create the histogram identified by (name, labels).
+    def histogram(self, name: str, **labels: Any) -> Histogram:
+        """Get or create the histogram identified by (name, labels)."""
+        return self._get(name, "histogram", labels)
 
-        ``bounds`` selects bucketed mode at creation; it is ignored when
-        the instrument already exists (first creation wins).
-        """
-        return self._get(name, "histogram", labels, bounds=bounds)
-
-    def _get(self, name: str, kind: str, labels: Dict[str, Any], bounds=None):
+    def _get(self, name: str, kind: str, labels: Dict[str, Any]):
         registered = self._kind_of.get(name)
         if registered is not None and registered != kind:
             raise ValueError(
@@ -261,10 +176,7 @@ class MetricRegistry:
         key = (name, _freeze_labels(labels))
         instrument = self._instruments.get(key)
         if instrument is None:
-            if kind == "histogram":
-                instrument = Histogram(name, key[1], bounds=bounds)
-            else:
-                instrument = self._KINDS[kind](name, key[1])
+            instrument = self._KINDS[kind](name, key[1])
             self._instruments[key] = instrument
             self._kind_of[name] = kind
         return instrument
@@ -321,21 +233,9 @@ def registry_from_snapshot(snapshot: Dict[str, Any]) -> MetricRegistry:
             elif kind == "gauge":
                 registry.gauge(name, **labels).set(float(series["value"]))
             elif kind == "histogram":
-                if "bounds" in series:
-                    histogram = registry.histogram(
-                        name, bounds=series["bounds"], **labels
-                    )
-                    histogram._load_state(
-                        series["count"],
-                        series["sum"],
-                        series["min"],
-                        series["max"],
-                        series["bucket_counts"],
-                    )
-                else:
-                    histogram = registry.histogram(name, **labels)
-                    for value in series.get("observations", []):
-                        histogram.observe(float(value))
+                histogram = registry.histogram(name, **labels)
+                for value in series.get("observations", []):
+                    histogram.observe(float(value))
             else:
                 raise ValueError(f"unknown instrument kind {kind!r} for metric {name!r}")
     return registry

@@ -113,7 +113,7 @@ class TestTransport:
     def test_logs_traffic(self, rng):
         transport = Transport()
         transport.process_round(self.make_updates(rng))
-        assert transport.log.bytes_per_round == [3 * 50 * 8]
+        assert transport.log.uplink_bytes_per_round == [3 * 50 * 8]
         assert transport.log.total_bytes == 1200
 
     def test_compression_reduces_traffic(self, rng):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import make_strategy
+from repro.comm import Transport
 from repro.data import IIDPartitioner, load_dataset
 from repro.faults import FaultPlan
 from repro.fl import Client, FederatedSimulation, RoundRecord, TrainingHistory
@@ -165,7 +166,7 @@ class TestHistoryCheckpoints:
         assert record.fault_count == 0
 
 
-def make_simulation(algorithm="taco", seed=0, fault_plan=None):
+def make_simulation(algorithm="taco", seed=0, fault_plan=None, transport=None):
     bundle = load_dataset("adult", 160, 60, seed=0)
     parts = IIDPartitioner().partition(bundle.train.labels, 4, np.random.default_rng(5))
     clients = [
@@ -175,7 +176,8 @@ def make_simulation(algorithm="taco", seed=0, fault_plan=None):
     model = bundle.spec.make_model(rng=np.random.default_rng(seed))
     strategy = make_strategy(algorithm, local_lr=0.05, local_steps=2)
     return FederatedSimulation(
-        model, clients, strategy, bundle.test, seed=seed, fault_plan=fault_plan
+        model, clients, strategy, bundle.test, seed=seed, fault_plan=fault_plan,
+        transport=transport,
     )
 
 
@@ -259,6 +261,27 @@ class TestSimulationCheckpoints:
         for a, b in zip(resumed_result.history.records, full_result.history.records):
             assert a.dropped == b.dropped
             assert a.quarantined == b.quarantined
+
+    def test_resume_with_retries_keeps_traffic_log(self, tmp_path):
+        """A resumed run's traffic log equals the uninterrupted run's,
+        retransmitted bytes included."""
+        plan = FaultPlan(seed=3, transient_rate=0.6)
+        full = make_simulation("fedavg", fault_plan=plan, transport=Transport())
+        full.run(4)
+        # Dense uploads match the broadcast, so any excess is retransmission.
+        log = full.transport.log
+        assert log.total_uplink_bytes > log.total_downlink_bytes
+
+        half = make_simulation("fedavg", fault_plan=plan, transport=Transport())
+        half.run(2)
+        save_simulation(half, tmp_path / "ckpt")
+
+        resumed = make_simulation("fedavg", fault_plan=plan, transport=Transport())
+        resumed.run(4, resume_from=tmp_path / "ckpt")
+        assert resumed.transport.log == full.transport.log
+        np.testing.assert_array_equal(
+            resumed.server.state.global_params, full.server.state.global_params
+        )
 
     def test_client_count_mismatch_rejected(self, tmp_path):
         sim = make_simulation()

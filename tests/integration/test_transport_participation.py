@@ -46,9 +46,9 @@ class TestTransportIntegration:
         bundle, clients = fl_setup
         transport = Transport(NoCompression())
         make_simulation(bundle, clients, transport=transport).run(3)
-        assert len(transport.log.bytes_per_round) == 3
+        assert len(transport.log.uplink_bytes_per_round) == 3
         dim = bundle.spec.make_model().num_parameters()
-        assert transport.log.bytes_per_round[0] == 4 * dim * 8
+        assert transport.log.uplink_bytes_per_round[0] == 4 * dim * 8
 
     def test_topk_still_trains(self, fl_setup):
         bundle, clients = fl_setup

@@ -1,4 +1,5 @@
-"""FlatParameterArena semantics: aliasing, rebuilds, and allocation behaviour."""
+"""FlatParameterArena semantics: aliasing, rebuilds, the dtype rule and
+allocation behaviour."""
 
 from __future__ import annotations
 
@@ -7,30 +8,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor
-from repro.nn import (
-    FlatParameterArena,
-    Linear,
-    Parameter,
-    ReLU,
-    Sequential,
-    arena_enabled,
-    set_arena_enabled,
-)
+from repro.autograd import Tensor, default_dtype
+from repro.nn import Linear, Parameter, ReLU, Sequential
 
 
 @pytest.fixture
 def model():
     rng = np.random.default_rng(3)
     return Sequential(Linear(6, 10, rng=rng), ReLU(), Linear(10, 4, rng=rng))
-
-
-@pytest.fixture
-def legacy_arena_state():
-    """Restore the global arena switch after tests that flip it."""
-    previous = arena_enabled()
-    yield
-    set_arena_enabled(previous)
 
 
 def _train_step(model, x_data):
@@ -102,57 +87,25 @@ class TestRebuild:
         assert model._flat_arena is not old_arena
         assert vec.size == model.num_parameters()
 
-    def test_empty_module_has_no_arena(self):
-        bare = Sequential(ReLU())
-        assert bare.parameters_vector().size == 0
-        assert bare._flat_arena is None
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_empty_module_has_no_arena(self, dtype):
+        """No parameters: vectors are size 0 in the compute dtype."""
+        with default_dtype(dtype):
+            bare = Sequential(ReLU())
+            for vec in (bare.parameters_vector(), bare.gradient_vector()):
+                assert vec.size == 0 and vec.dtype == np.dtype(dtype)
+        assert bare._flat_arena.size == 0
 
-    def test_build_rejects_mixed_dtypes(self):
-        from repro.autograd import default_dtype
-
+    @pytest.mark.parametrize(
+        "op", ["parameters_vector", "gradient_vector", "load_vector"]
+    )
+    def test_mixed_dtypes_raise(self, op):
         with default_dtype("float32"):
-            p32 = Parameter(np.zeros(3))
-        p64 = Parameter(np.zeros(3))
-        assert p32.data.dtype == np.float32 and p64.data.dtype == np.float64
-        assert FlatParameterArena.build([p32, p64]) is None
-
-
-class TestDisabledParity:
-    def test_disabled_matches_enabled_bytes(self, model, legacy_arena_state):
-        x = np.random.default_rng(4).normal(size=(3, 6))
-        vec = model.parameters_vector()
-        _train_step(model, x)
-        grad_arena = model.gradient_vector()
-
-        set_arena_enabled(False)
-        rng = np.random.default_rng(3)
-        legacy = Sequential(Linear(6, 10, rng=rng), ReLU(), Linear(10, 4, rng=rng))
-        legacy.load_vector(vec)
-        _train_step(legacy, x)
-        assert legacy._flat_arena is None
-        assert legacy.parameters_vector().tobytes() == vec.tobytes()
-        assert legacy.gradient_vector().tobytes() == grad_arena.tobytes()
-
-    def test_add_to_gradients_matches_legacy(self, model, legacy_arena_state):
-        extra = np.arange(model.num_parameters(), dtype=np.float64)
-        model.add_to_gradients(extra)
-        model.add_to_gradients(extra)
-        arena_grads = model.gradient_vector()
-
-        set_arena_enabled(False)
-        rng = np.random.default_rng(3)
-        legacy = Sequential(Linear(6, 10, rng=rng), ReLU(), Linear(10, 4, rng=rng))
-        legacy.add_to_gradients(extra)
-        legacy.add_to_gradients(extra)
-        assert legacy.gradient_vector().tobytes() == arena_grads.tobytes()
-
-    def test_size_mismatch_raises_either_way(self, model, legacy_arena_state):
-        bad = np.zeros(model.num_parameters() + 1)
-        with pytest.raises(ValueError):
-            model.load_vector(bad)
-        set_arena_enabled(False)
-        with pytest.raises(ValueError):
-            model.load_vector(bad)
+            narrow = Linear(3, 2)
+        mixed = Sequential(narrow, Linear(2, 2))
+        args = (np.zeros(mixed.num_parameters()),) if op == "load_vector" else ()
+        with pytest.raises(ValueError, match="float32, float64"):
+            getattr(mixed, op)(*args)
 
 
 class TestAllocationBehaviour:

@@ -63,16 +63,6 @@ class TestVectorBoundary:
         out.sum().backward()
         np.testing.assert_allclose(model.gradient_vector(), np.ones(2))
 
-    def test_add_to_gradients(self):
-        model = Linear(2, 1, bias=False)
-        model.add_to_gradients(np.array([1.0, 2.0]))
-        model.add_to_gradients(np.array([1.0, 2.0]))
-        np.testing.assert_allclose(model.gradient_vector(), [2.0, 4.0])
-
-    def test_add_to_gradients_wrong_size(self):
-        with pytest.raises(ValueError):
-            Linear(2, 1, bias=False).add_to_gradients(np.zeros(5))
-
     def test_load_preserves_forward(self):
         model = MLP(4, 2)
         x = Tensor(np.random.default_rng(0).normal(size=(3, 4)))

@@ -162,49 +162,3 @@ class TestPercentiles:
             hist.observe(value)
         assert hist.minimum == 1.0
         assert hist.maximum == 3.0
-
-
-class TestBucketedHistogram:
-    def test_bounds_validation(self):
-        registry = MetricRegistry()
-        with pytest.raises(ValueError):
-            registry.histogram("bad.bounds", bounds=(2.0, 1.0))
-        with pytest.raises(ValueError):
-            registry.histogram("bad.empty", bounds=())
-
-    def test_bucketed_keeps_o_k_memory(self):
-        registry = MetricRegistry()
-        hist = registry.histogram("serving.stage_seconds", bounds=(0.1, 1.0, 10.0))
-        for value in (0.05, 0.5, 5.0, 50.0):
-            hist.observe(value)
-        assert hist.observations == []  # nothing retained beyond buckets
-        assert hist.bucket_counts == [1, 1, 1, 1]
-        assert hist.count == 4
-        assert hist.total == pytest.approx(55.55)
-        assert hist.minimum == 0.05 and hist.maximum == 50.0
-
-    def test_bucketed_percentile_interpolates_and_clamps(self):
-        registry = MetricRegistry()
-        hist = registry.histogram("serving.stage_seconds", bounds=(1.0, 2.0, 4.0))
-        for value in (0.5, 1.5, 2.5, 3.5):
-            hist.observe(value)
-        # interpolated estimates stay inside the observed range
-        for q in (1.0, 25.0, 50.0, 75.0, 99.0):
-            assert hist.minimum <= hist.percentile(q) <= hist.maximum
-        assert hist.percentile(100.0) == pytest.approx(hist.maximum)
-        # exact-mode median of these values is 2.0; bucketed is close
-        assert hist.percentile(50.0) == pytest.approx(2.0, abs=1.0)
-
-    def test_bucketed_snapshot_round_trips(self):
-        from repro.telemetry import registry_from_snapshot
-
-        registry = MetricRegistry()
-        hist = registry.histogram("serving.stage_seconds", bounds=(0.1, 1.0))
-        for value in (0.05, 0.5, 5.0):
-            hist.observe(value)
-        restored = registry_from_snapshot(registry.snapshot())
-        twin = restored.histogram("serving.stage_seconds", bounds=(0.1, 1.0))
-        assert twin.count == hist.count
-        assert twin.total == pytest.approx(hist.total)
-        assert twin.bucket_counts == hist.bucket_counts
-        assert twin.percentile(90.0) == pytest.approx(hist.percentile(90.0))

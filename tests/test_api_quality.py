@@ -1,9 +1,9 @@
 """Repository-wide API quality gates.
 
-These tests walk the installed package and enforce the documentation and
-determinism conventions the library promises: every public module, class
-and function carries a docstring, and the public surface of each package's
-``__all__`` actually resolves.
+These tests walk every package of the installed library and enforce the
+documentation and determinism conventions it promises: every public
+module, class and function carries a docstring, and the public surface of
+each package's ``__all__`` actually resolves.
 """
 
 import importlib
@@ -14,23 +14,10 @@ import pytest
 
 import repro
 
-PACKAGES = [
-    "repro",
-    "repro.autograd",
-    "repro.nn",
-    "repro.nn.models",
-    "repro.optim",
-    "repro.data",
-    "repro.fl",
-    "repro.algorithms",
-    "repro.attacks",
-    "repro.comm",
-    "repro.theory",
-    "repro.analysis",
-    "repro.experiments",
-    "repro.telemetry",
-    "repro.introspect",
-    "repro.report",
+PACKAGES = ["repro"] + [
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+    if info.ispkg
 ]
 
 
