@@ -59,7 +59,7 @@ class FedACG(Strategy):
 
     def broadcast(self, state: ServerState) -> Dict[str, Any]:
         if self._momentum is None:
-            self._momentum = np.zeros(state.dim)
+            self._momentum = np.zeros_like(state.global_params)
         lookahead = self.momentum_decay * self._momentum
         # Clients start local training from the accelerated point
         # w_t - lam * m_t and regularise toward it (Algorithm 1, line 4).

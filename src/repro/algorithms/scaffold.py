@@ -57,14 +57,15 @@ class Scaffold(Strategy):
         }
 
     # ------------------------------------------------------------------
-    def _ensure_controls(self, dim: int, client_id: int) -> None:
+    def _ensure_controls(self, state: ServerState, client_id: int) -> None:
+        # zeros_like: the controls live in the compute dtype of w_t.
         if self._server_control is None:
-            self._server_control = np.zeros(dim)
+            self._server_control = np.zeros_like(state.global_params)
         if client_id not in self._client_controls:
-            self._client_controls[client_id] = np.zeros(dim)
+            self._client_controls[client_id] = np.zeros_like(state.global_params)
 
     def client_payload(self, client_id: int, state: ServerState, broadcast: Dict[str, Any]) -> Dict[str, Any]:
-        self._ensure_controls(state.dim, client_id)
+        self._ensure_controls(state, client_id)
         return {
             "server_control": self._server_control,
             "client_control": self._client_controls[client_id],
@@ -89,11 +90,11 @@ class Scaffold(Strategy):
     # ------------------------------------------------------------------
     def post_round(self, state: ServerState, updates: Sequence[ClientUpdate]) -> None:
         if self._server_control is None:
-            self._server_control = np.zeros(state.dim)
-        control_shift = np.zeros(state.dim)
+            self._server_control = np.zeros_like(state.global_params)
+        control_shift = np.zeros_like(state.global_params)
         for update in updates:
             cid = update.client_id
-            self._ensure_controls(state.dim, cid)
+            self._ensure_controls(state, cid)
             new_control = (
                 self._client_controls[cid]
                 - self._server_control

@@ -126,7 +126,7 @@ class TACO(Strategy):
     def client_payload(self, client_id: int, state: ServerState, broadcast: Dict[str, Any]) -> Dict[str, Any]:
         global_delta = state.global_delta
         if global_delta is None:
-            global_delta = np.zeros(state.dim)
+            global_delta = np.zeros_like(state.global_params)
         return {"alpha": self.alpha_for(client_id), "global_delta": global_delta}
 
     def local_direction(
@@ -163,7 +163,8 @@ class TACO(Strategy):
         if not self.use_tailored_correction or self.gamma == 0.0:
             return grads
         coefficients = np.array(
-            [self.gamma * (1.0 - payload["alpha"]) for payload in payloads]
+            [self.gamma * (1.0 - payload["alpha"]) for payload in payloads],
+            dtype=grads.dtype,
         )
         return grads + coefficients[:, None] * payloads[0]["global_delta"][None, :]
 

@@ -8,7 +8,8 @@ Public surface:
 - :func:`concatenate`, :func:`stack`, :func:`where` — multi-input ops.
 - :func:`set_default_dtype` / :func:`default_dtype` — float32/float64 compute
   mode (float64 is the bit-exact default).
-- :mod:`repro.autograd.ops` — fused conv/pool/LSTM/softmax primitives.
+- :mod:`repro.autograd.ops` — fused conv/pool/linear/LSTM/softmax/loss
+  primitives.
 - :func:`check_gradients` — finite-difference validation.
 """
 
@@ -16,9 +17,9 @@ from .grad_check import check_gradients, numeric_gradient
 from .ops import (
     avg_pool2d,
     batched_cross_entropy,
-    batched_linear,
     conv2d,
     cross_entropy,
+    linear,
     log_softmax,
     lstm_step,
     max_pool2d,
@@ -57,7 +58,7 @@ __all__ = [
     "conv2d",
     "max_pool2d",
     "avg_pool2d",
-    "batched_linear",
+    "linear",
     "batched_cross_entropy",
     "lstm_step",
     "narrow",

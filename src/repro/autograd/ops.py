@@ -3,9 +3,9 @@
 These operations are implemented as fused primitives (a single forward numpy
 computation plus a hand-written backward) rather than compositions of
 :class:`~repro.autograd.tensor.Tensor` ops, because they dominate the runtime
-of the CNN / ResNet / LSTM models: convolution via im2col, the pooling
-kernels, a fused LSTM step, and the numerically stabilised log-softmax used
-by the cross-entropy loss.
+of the CNN / ResNet / LSTM / MLP models: convolution via im2col, the pooling
+kernels, a fused LSTM step, the affine map of every ``Linear`` layer, and
+the numerically stabilised log-softmax and cross-entropy loss.
 
 Index arithmetic that depends only on shapes — im2col gather/scatter
 indices, pooling scatter offsets — is memoised with ``lru_cache`` so steady
@@ -21,7 +21,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .tensor import Tensor, is_grad_enabled
+from .tensor import Tensor, _unbroadcast, get_default_dtype, is_grad_enabled
 
 _sliding_window_view = np.lib.stride_tricks.sliding_window_view
 
@@ -339,6 +339,56 @@ def narrow(x: Tensor, start: int, stop: int) -> Tensor:
     return result
 
 
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Affine map ``x @ weight.T + bias`` as one graph node.
+
+    ``weight`` is ``(out, in)`` applied to an input ``(..., in)`` with a
+    bias ``(out,)``; or a cohort weight ``(clients, out, in)`` applied per
+    client to ``(clients, batch, in)`` with a bias ``(clients, out)``, which
+    is how the batched execution path (:mod:`repro.nn.batched`) runs K
+    clients' layers at once.
+
+    The unfused ``x @ weight.T + bias`` graph records three nodes
+    (transpose, matmul, add).  This node computes the same forward and its
+    backward replays those three nodes' arithmetic, so output and every
+    gradient are byte-identical to the unfused graph (and slice ``k`` of a
+    cohort call to client k's own call): ``g @ W`` for the input,
+    ``(x^T @ g)^T`` reduced by ``_unbroadcast`` for the weight, and the
+    bias gradient as the add node reduces it.  The input gradient is
+    skipped when ``x`` does not require grad (the data batch at the first
+    layer), which the dispatch would discard anyway.
+    """
+    x_data, w_data = x.data, weight.data
+    cohort = w_data.ndim == 3
+    if (
+        x_data.ndim < 2
+        or x_data.shape[-1] != w_data.shape[-1]
+        or (cohort and (x_data.ndim != 3 or x_data.shape[0] != w_data.shape[0]))
+    ):
+        raise ValueError(f"weight shape {w_data.shape} incompatible with input shape {x_data.shape}")
+    w_t = w_data.swapaxes(-1, -2)
+    out = x_data @ w_t
+    if bias is not None:
+        out = out + (bias.data[:, None, :] if cohort else bias.data)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    x_requires = x.requires_grad
+
+    def backward(g: np.ndarray):
+        grad_x = g @ w_data if x_requires else None
+        grad_w = _unbroadcast(x_data.swapaxes(-1, -2) @ g, w_t.shape).swapaxes(-1, -2)
+        if bias is None:
+            return (grad_x, grad_w)
+        grad_b = g.sum(axis=1) if cohort else _unbroadcast(g, bias.shape)
+        return (grad_x, grad_w, grad_b)
+
+    requires = is_grad_enabled() and any(p.requires_grad for p in parents)
+    result = Tensor(out, requires_grad=requires, _parents=parents if requires else ())
+    if requires:
+        result._backward = backward
+    return result
+
+
 def lstm_step(
     x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor
 ) -> Tensor:
@@ -391,13 +441,21 @@ def lstm_step(
     return result
 
 
+def _stable_log_softmax(data: np.ndarray, axis: int):
+    """``(log_softmax, exp, sum_exp)`` of ``data`` along ``axis``, max-shifted.
+
+    ``exp / sum_exp`` is the softmax every log-softmax backward needs.
+    """
+    shifted = data - data.max(axis=axis, keepdims=True)
+    exp = np.exp(shifted)
+    sum_exp = exp.sum(axis=axis, keepdims=True)
+    return shifted - np.log(sum_exp), exp, sum_exp
+
+
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    log_sum = np.log(exp.sum(axis=axis, keepdims=True))
-    out = shifted - log_sum
-    softmax = exp / exp.sum(axis=axis, keepdims=True)
+    out, exp, sum_exp = _stable_log_softmax(x.data, axis)
+    softmax = exp / sum_exp
 
     def backward(g: np.ndarray):
         return (g - softmax * g.sum(axis=axis, keepdims=True),)
@@ -418,6 +476,11 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean cross-entropy between ``logits`` (N, C) and integer ``targets`` (N,).
 
     Equivalent to ``torch.nn.functional.cross_entropy`` with mean reduction.
+    One graph node: the value and the logits gradient are byte-identical
+    to the unfused ``-(log_softmax(x, 1)[arange(n), t]).mean()`` graph,
+    whose five nodes the backward replays in order — negate, multiply by
+    ``1/n``, broadcast over the batch, scatter into the picked cells, then
+    the log-softmax backward.
     """
     targets = np.asarray(targets, dtype=np.int64)
     if logits.ndim != 2:
@@ -425,9 +488,24 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     n = logits.shape[0]
     if targets.shape != (n,):
         raise ValueError(f"targets shape {targets.shape} does not match batch size {n}")
-    log_probs = log_softmax(logits, axis=1)
-    picked = log_probs[np.arange(n), targets]
-    return -picked.mean()
+    log_probs, exp, sum_exp = _stable_log_softmax(logits.data, 1)
+    rows = np.arange(n)
+    # ``mean`` multiplies the sum by 1/n as a Tensor in the compute dtype.
+    scale = np.asarray(1.0 / n, dtype=get_default_dtype())
+    out = -(log_probs[rows, targets].sum() * scale)
+
+    def backward(g: np.ndarray):
+        softmax = exp / sum_exp
+        grad = np.zeros_like(log_probs)
+        # Each row has one picked cell, so this is the scatter's 0 + g.
+        grad[rows, targets] += np.broadcast_to((-g) * scale, (n,))
+        return (grad - softmax * grad.sum(axis=1, keepdims=True),)
+
+    requires = is_grad_enabled() and logits.requires_grad
+    result = Tensor(out, requires_grad=requires, _parents=(logits,) if requires else ())
+    if requires:
+        result._backward = backward
+    return result
 
 
 def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
@@ -438,7 +516,8 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
 
 
 # ----------------------------------------------------------------------
-# Client-batched kernels: a leading client axis over per-client weights.
+# Client-batched loss: a leading client axis (the cohort form of the affine
+# map is ``linear`` with a (K, out, in) weight).
 #
 # These back the batched multi-client execution path (repro.fl.batched):
 # K clients' parameters live in one (K, P) arena, and one batched graph
@@ -449,47 +528,6 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
 # remaining arithmetic is elementwise or reduces within one client's slice.
 # tests/autograd/test_batched_ops.py asserts this byte-for-byte.
 # ----------------------------------------------------------------------
-def batched_linear(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
-    """Per-client affine map ``y[k] = x[k] @ weight[k].T + bias[k]``.
-
-    Parameters
-    ----------
-    x:
-        Input of shape ``(clients, batch, in_features)``.
-    weight:
-        Per-client weights ``(clients, out_features, in_features)``.
-    bias:
-        Optional per-client bias ``(clients, out_features)``.
-    """
-    clients, batch, in_f = x.shape
-    if weight.ndim != 3 or weight.shape[0] != clients or weight.shape[2] != in_f:
-        raise ValueError(
-            f"weight shape {weight.shape} incompatible with input shape {x.shape}"
-        )
-    out = np.matmul(x.data, weight.data.transpose(0, 2, 1))
-    if bias is not None:
-        out = out + bias.data[:, None, :]
-
-    x_data, w_data = x.data, weight.data
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    x_requires = x.requires_grad
-
-    def backward(g: np.ndarray):
-        grad_x = np.matmul(g, w_data) if x_requires else None
-        # Same contraction order as the sequential x @ W.T graph: the
-        # transpose-node backward there computes (x.T @ g).T per client.
-        grad_w = np.matmul(x_data.transpose(0, 2, 1), g).transpose(0, 2, 1)
-        if bias is None:
-            return (grad_x, grad_w)
-        return (grad_x, grad_w, g.sum(axis=1))
-
-    requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-    result = Tensor(out, requires_grad=requires, _parents=parents if requires else ())
-    if requires:
-        result._backward = backward
-    return result
-
-
 def batched_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Sum over clients of per-client mean cross-entropies.
 
@@ -515,15 +553,11 @@ def batched_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
             f"targets shape {targets.shape} does not match logits batch {(clients, batch)}"
         )
 
-    data = logits.data
-    shifted = data - data.max(axis=2, keepdims=True)
-    exp = np.exp(shifted)
-    sum_exp = exp.sum(axis=2, keepdims=True)
-    log_probs = shifted - np.log(sum_exp)
+    log_probs, exp, sum_exp = _stable_log_softmax(logits.data, 2)
     softmax = exp / sum_exp
 
     picked = np.take_along_axis(log_probs, targets[:, :, None], axis=2)[:, :, 0]
-    losses = np.empty(clients, dtype=data.dtype)
+    losses = np.empty(clients, dtype=log_probs.dtype)
     for client in range(clients):
         # Replays cross_entropy's -(picked.mean()) node chain exactly:
         # a pairwise sum, a multiply by 1/n, a negation.

@@ -225,30 +225,34 @@ class Tensor:
         grad = np.asarray(grad, dtype=self.data.dtype)
 
         # Topological order via iterative DFS (avoids recursion limits on
-        # deep graphs such as unrolled LSTMs).
+        # deep graphs such as unrolled LSTMs).  Only nodes that require grad
+        # are pushed: the rest (data batches, constants) are leaves that can
+        # never receive a gradient, and skipping them leaves the relative
+        # order of the grad nodes -- hence the order in which a node with
+        # several consumers sums their contributions -- unchanged.
         topo: list[Tensor] = []
-        visited: set[int] = set()
+        visited: set[Tensor] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
                 topo.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
+            visited.add(node)
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in visited:
+                if parent.requires_grad and parent not in visited:
                     stack.append((parent, False))
 
-        grads: dict[int, np.ndarray] = {id(self): grad}
+        grads: dict[Tensor, np.ndarray] = {self: grad}
         op_hook = _BACKWARD_OP_HOOK  # read once; cannot change mid-backward
         for node in reversed(topo):
-            node_grad = grads.pop(id(node), None)
+            node_grad = grads.pop(node, None)
             if node_grad is None:
                 continue
-            if node.requires_grad and not node._parents:
+            if not node._parents:
                 node._accumulate(node_grad)
             if node._backward is not None:
                 if op_hook is None:
@@ -265,11 +269,10 @@ class Tensor:
         for parent, contribution in zip(node._parents, contributions):
             if contribution is None or not parent.requires_grad:
                 continue
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + contribution
+            if parent in grads:
+                grads[parent] = grads[parent] + contribution
             else:
-                grads[key] = contribution
+                grads[parent] = contribution
 
     # ------------------------------------------------------------------
     # Arithmetic

@@ -5,10 +5,11 @@ a single :class:`~repro.nn.arena.BatchedClientArena`: every parameter
 becomes a ``(clients, *shape)`` :class:`~repro.nn.module.Parameter` whose
 row ``k`` is a zero-copy view of client k's slice of the ``(K, P)`` buffer.
 ``forward`` maps ``(clients, batch, ...)`` inputs to ``(clients, batch,
-classes)`` logits through the client-batched kernels in
-:mod:`repro.autograd.ops`, and the whole program is constructed so that
-slice ``k`` of the forward pass — and of every parameter gradient — is
-bit-identical to running the template model on client k's row alone (see
+classes)`` logits through :func:`~repro.autograd.ops.linear` with
+``(clients, out, in)`` cohort weights, and the whole program is
+constructed so that slice ``k`` of the forward pass — and of every
+parameter gradient — is bit-identical to running the template model on
+client k's row alone (see
 tests/autograd/test_batched_ops.py and tests/fl/test_batched_execution.py).
 
 Only model architectures with a registered forward builder can be batched,
@@ -26,7 +27,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..autograd import Tensor, batched_linear
+from ..autograd import Tensor, linear
 from .activations import ReLU
 from .arena import BatchedClientArena
 from .linear import Linear
@@ -61,7 +62,7 @@ def _build_mlp(template: MLP) -> Optional[BatchedForward]:
             else:
                 weight_index, bias_index = step
                 bias = None if bias_index is None else params[bias_index]
-                x = batched_linear(x, params[weight_index], bias)
+                x = linear(x, params[weight_index], bias)
         return x
 
     return forward

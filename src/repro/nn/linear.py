@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Tensor
+from ..autograd import Tensor, linear
 from . import init
 from .module import Module, Parameter
 
 
 class Linear(Module):
-    """Affine map ``y = x W^T + b``.
+    """Affine map ``y = x W^T + b``, one graph node per call (see
+    :func:`repro.autograd.ops.linear`).
 
     Parameters
     ----------
@@ -45,10 +46,7 @@ class Linear(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight.T
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return linear(x, self.weight, self.bias)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Linear({self.in_features}, {self.out_features}, bias={self.bias is not None})"

@@ -24,6 +24,13 @@ from .arena import FlatParameterArena
 #: and a branch per call.
 _FORWARD_CALL_HOOK = None
 
+#: Bumped whenever any module registers a Parameter or a child Module.  A
+#: module's cached parameter list is valid while this has not moved since
+#: the list was built, so registering on a child invalidates its ancestors
+#: too, with no parent links to walk.
+_REGISTRATIONS = 0
+
+
 class Parameter(Tensor):
     """A trainable tensor registered on a :class:`Module`.
 
@@ -62,15 +69,19 @@ class Module:
         object.__setattr__(self, "_buffers", OrderedDict())
         object.__setattr__(self, "training", True)
         object.__setattr__(self, "_flat_arena", None)
+        object.__setattr__(self, "_param_cache", (-1, []))
 
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
     def __setattr__(self, name: str, value) -> None:
+        global _REGISTRATIONS
         if isinstance(value, Parameter):
             self._parameters[name] = value
+            _REGISTRATIONS += 1
         elif isinstance(value, Module):
             self._modules[name] = value
+            _REGISTRATIONS += 1
         object.__setattr__(self, name, value)
 
     def register_buffer(self, name: str, value: np.ndarray) -> None:
@@ -94,7 +105,16 @@ class Module:
             yield from module.named_parameters(prefix=f"{prefix}{name}.")
 
     def parameters(self) -> List[Parameter]:
-        return [param for _, param in self.named_parameters()]
+        return list(self._parameter_list())
+
+    def _parameter_list(self) -> List[Parameter]:
+        """The cached parameter list; callers must not mutate it."""
+        registrations, params = self._param_cache
+        current = _REGISTRATIONS  # read before the walk, so the tag never runs ahead
+        if registrations != current:
+            params = [param for _, param in self.named_parameters()]
+            object.__setattr__(self, "_param_cache", (current, params))
+        return params
 
     def named_buffers(self, prefix: str = "") -> Iterator[Tuple[str, np.ndarray]]:
         for name in self._buffers:
@@ -122,7 +142,7 @@ class Module:
     # Gradient utilities
     # ------------------------------------------------------------------
     def zero_grad(self) -> None:
-        for param in self.parameters():
+        for param in self._parameter_list():
             param.zero_grad()
 
     def num_parameters(self) -> int:
@@ -138,7 +158,7 @@ class Module:
         any parameter rebinding or registration change invalidates it and
         triggers a transparent rebuild from the current parameter values.
         """
-        params = self.parameters()
+        params = self._parameter_list()
         arena = self._flat_arena
         if arena is not None and arena.owns(params):
             return arena

@@ -1,6 +1,7 @@
 """Slice-exactness of the client-batched kernels.
 
-Every batched op carries a leading ``clients`` axis; slice ``k`` of its
+Every batched op carries a leading ``clients`` axis (``linear`` takes it
+through a ``(clients, out, in)`` cohort weight); slice ``k`` of its
 forward output and of every parameter gradient must be *byte-identical* to
 running the sequential kernel on client k's slice alone.  That invariant is
 what lets the batched execution path (repro.fl.batched) serve as a drop-in
@@ -10,7 +11,7 @@ replacement for the per-client loop under float64.
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, batched_cross_entropy, batched_linear, cross_entropy
+from repro.autograd import Tensor, batched_cross_entropy, cross_entropy, linear
 from repro.nn.batched import BatchedModelProgram, build_batched_forward, supports_batched
 from repro.nn.models import MLP, PaperCNN
 
@@ -21,19 +22,21 @@ def _grad(tensor):
 
 
 class TestBatchedLinear:
+    """``linear`` with a cohort weight against the unfused per-client graph."""
+
     def test_slices_match_sequential(self, rng):
         clients, batch, in_f, out_f = 5, 7, 11, 4
         x = Tensor(rng.normal(size=(clients, batch, in_f)), requires_grad=True)
         w = Tensor(rng.normal(size=(clients, out_f, in_f)), requires_grad=True)
         b = Tensor(rng.normal(size=(clients, out_f)), requires_grad=True)
-        out = batched_linear(x, w, b)
+        out = linear(x, w, b)
         g = rng.normal(size=out.shape)
         out.backward(g)
         for k in range(clients):
             xs = Tensor(x.data[k].copy(), requires_grad=True)
             ws = Tensor(w.data[k].copy(), requires_grad=True)
             bs = Tensor(b.data[k].copy(), requires_grad=True)
-            ref = xs @ ws.T + bs  # the Linear layer's exact graph
+            ref = xs @ ws.T + bs  # the unfused affine graph
             ref.backward(g[k])
             assert np.array_equal(out.data[k], ref.data)
             assert np.array_equal(_grad(x)[k], _grad(xs))
@@ -43,7 +46,7 @@ class TestBatchedLinear:
     def test_input_grad_skipped_for_non_grad_input(self, rng):
         x = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=False)
         w = Tensor(rng.normal(size=(2, 4, 5)), requires_grad=True)
-        out = batched_linear(x, w, None)
+        out = linear(x, w, None)
         out.backward(np.ones(out.shape))
         assert x.grad is None
         assert w.grad is not None

@@ -3,7 +3,9 @@
 Pooling is checked for *bit-identical* forward and backward values — the
 vectorized rewrites preserve the naive implementations' comparison order
 (strictly-greater updates keep first-occurrence argmax ties) and scatter
-addend order, so any drift at all is a regression.  Convolution and the
+addend order, so any drift at all is a regression.  The fused ``linear``
+and ``cross_entropy`` nodes replay their unfused graphs' arithmetic, so
+they too are checked byte for byte, under float64 and float32.  Convolution and the
 fused LSTM step route the same contractions through different BLAS entry
 points (one collapsed dgemm vs per-batch GEMMs; closed-form vs chained
 backward), which can move the last bit or two, so they are compared at
@@ -15,15 +17,27 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, avg_pool2d, conv2d, max_pool2d
+from repro.autograd import (
+    Tensor,
+    avg_pool2d,
+    conv2d,
+    cross_entropy,
+    default_dtype,
+    linear,
+    max_pool2d,
+)
 from repro.nn import LSTMCell
 
 from tests.reference_kernels import (
     naive_avg_pool2d,
     naive_conv2d,
+    naive_cross_entropy,
+    naive_linear,
     naive_lstm_cell_forward,
     naive_max_pool2d,
 )
+
+DTYPES = ["float64", "float32"]
 
 
 @pytest.fixture
@@ -179,3 +193,67 @@ class TestLSTMParity:
         # last-bit drift but nothing more.
         for fast, ref in zip(in_fast + p_fast, in_ref + p_ref):
             np.testing.assert_allclose(fast, ref, rtol=1e-12, atol=1e-14)
+
+
+def _assert_same_bytes(fast, ref, dtype):
+    for a, b in zip(fast, ref, strict=True):
+        if a is None or b is None:
+            assert a is None and b is None
+            continue
+        assert a.dtype == b.dtype == np.dtype(dtype)
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+class TestLinearParity:
+    """The fused node against the unfused ``x @ W.T + b`` graph."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize(
+        "x_shape,with_bias,input_grad",
+        [
+            ((6, 5), True, True),
+            ((3, 4, 5), True, True),  # (B, T, in): the weight grad sums over B
+            ((6, 5), False, True),
+            ((6, 5), True, False),  # a data batch: no input gradient at all
+        ],
+        ids=["2d", "3d", "no-bias", "input-needs-no-grad"],
+    )
+    def test_byte_equal(self, rng, dtype, x_shape, with_bias, input_grad):
+        x_data = rng.normal(size=x_shape)
+        w_data = rng.normal(size=(7, 5))
+        b_data = rng.normal(size=7)
+        g = rng.normal(size=x_shape[:-1] + (7,))
+
+        def run(fn):
+            x = Tensor(x_data, requires_grad=input_grad)
+            w = Tensor(w_data, requires_grad=True)
+            b = Tensor(b_data, requires_grad=True) if with_bias else None
+            out = fn(x, w, b)
+            out.backward(g)
+            return [out.data, x.grad, w.grad, None if b is None else b.grad]
+
+        with default_dtype(dtype):
+            fast, ref = run(linear), run(naive_linear)
+        assert (fast[1] is None) == (not input_grad)
+        _assert_same_bytes(fast, ref, dtype)
+
+
+class TestCrossEntropyParity:
+    """The fused loss against ``-(log_softmax(x, 1)[arange(n), t]).mean()``."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("upstream", [None, 0.37], ids=["root", "scaled"])
+    def test_byte_equal(self, rng, dtype, upstream):
+        logits_data = 3.0 * rng.normal(size=(9, 5))
+        targets = rng.integers(0, 5, size=9)
+
+        def run(fn):
+            logits = Tensor(logits_data, requires_grad=True)
+            loss = fn(logits, targets)
+            (loss if upstream is None else loss * upstream).backward()
+            return [loss.data, logits.grad]
+
+        with default_dtype(dtype):
+            fast, ref = run(cross_entropy), run(naive_cross_entropy)
+        _assert_same_bytes(fast, ref, dtype)

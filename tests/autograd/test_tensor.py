@@ -118,6 +118,18 @@ class TestBackward:
         z.backward(np.ones(1))
         np.testing.assert_allclose(x.grad, [4.0])
 
+    def test_three_consumers_sum_in_walk_order(self):
+        # x feeds three nodes, whose contributions 0.2, 0.3 and 0.4 give a
+        # different float64 sum for each choice of the last addend:
+        # (0.2 + 0.3) + 0.4 == 0.9, (0.2 + 0.4) + 0.3 == 0.9000000000000001
+        # and (0.3 + 0.4) + 0.2 == 0.8999999999999999.  The walk sums them
+        # in consumer order, so a walk that reorders the sum moves the bits
+        # (the LSTM weights have one consumer per time step).
+        x = Tensor([1.0], requires_grad=True)
+        loss = (x * 0.2).sum() + (x * 0.3).sum() + (x * 0.4).sum()
+        loss.backward()
+        assert x.grad.tobytes() == np.array([0.9]).tobytes()
+
     def test_deep_graph_no_recursion_error(self):
         x = Tensor([1.0], requires_grad=True)
         y = x

@@ -1,8 +1,8 @@
 """End-to-end equivalence of the batched execution path.
 
 ``batched_execution=True`` must be a pure performance knob: under float64
-a batched MLP run is *byte-identical* to the sequential oracle for every
-registered algorithm, and every ineligible client (freeloaders, attackers,
+and float32 a batched MLP run is *byte-identical* to the sequential oracle
+for every registered algorithm, and every ineligible client (freeloaders, attackers,
 tiny shards) or unsupported model (PaperCNN, MLP subclasses) transparently
 falls back to the sequential path.
 """
@@ -14,6 +14,7 @@ import pytest
 
 from repro.algorithms import algorithm_names, make_strategy
 from repro.attacks import FreeloaderClient
+from repro.autograd import default_dtype
 from repro.data import TensorDataset
 from repro.fl import (
     BatchedCohortExecutor,
@@ -84,10 +85,17 @@ class TestBitIdentity:
         bat = run_once("fedavg", batched=True, rounds=4, participation=UniformSampling(0.5))
         assert all(np.array_equal(a, b) for a, b in zip(seq.final_params, bat.final_params))
 
-    @pytest.mark.parametrize("algorithm", algorithm_names())
-    def test_correction_algorithms_match(self, algorithm):
-        seq = run_once(algorithm, batched=False)
-        bat = run_once(algorithm, batched=True)
+    # float64 cases keep their bare algorithm ids; float32 ones add a suffix.
+    @pytest.mark.parametrize(
+        "algorithm,dtype",
+        [pytest.param(name, "float64", id=name) for name in algorithm_names()]
+        + [pytest.param(name, "float32", id=f"{name}-float32") for name in algorithm_names()],
+    )
+    def test_correction_algorithms_match(self, algorithm, dtype):
+        with default_dtype(dtype):
+            seq = run_once(algorithm, batched=False)
+            bat = run_once(algorithm, batched=True)
+        assert seq.final_params.dtype == bat.final_params.dtype == np.dtype(dtype)
         assert seq.final_params.tobytes() == bat.final_params.tobytes()
 
 

@@ -1,0 +1,85 @@
+"""Acceptance: the fused graph nodes train runs bit for bit like the unfused ones.
+
+``Linear`` records one ``linear`` node per call and the client loss one
+``cross_entropy`` node, where the unfused graphs record three and five.
+Each fused backward replays its unfused graph's arithmetic, so whole
+training runs must not move a bit: every run below trains twice from the
+same seed — once as shipped, once with ``Linear.forward`` and the client's
+``cross_entropy`` swapped for the unfused oracles in
+``tests/reference_kernels.py`` — and the final parameter bytes must match.
+"""
+
+import numpy as np
+import pytest
+
+import repro.fl.client
+from repro.algorithms import make_strategy
+from repro.data import TensorDataset
+from repro.fl import Client, FederatedSimulation
+from repro.nn import Linear
+from repro.nn.models import MLP, CharLSTM
+
+from tests.reference_kernels import naive_cross_entropy, naive_linear
+
+CLIENTS = 4
+SHARD = 24
+VOCAB = 12
+SEQ_LEN = 5
+
+
+def _mlp_task(rng):
+    def shard(n):
+        return TensorDataset(rng.normal(size=(n, 10)), rng.integers(0, 3, size=n))
+
+    return lambda: MLP(10, 3, hidden=(16, 8), rng=np.random.default_rng(7)), shard
+
+
+def _lstm_task(rng):
+    def shard(n):
+        tokens = rng.integers(0, VOCAB, size=(n, SEQ_LEN)).astype(np.float64)
+        return TensorDataset(tokens, rng.integers(0, VOCAB, size=n))
+
+    def model():
+        return CharLSTM(VOCAB, embedding_dim=4, hidden_size=8, rng=np.random.default_rng(7))
+
+    return model, shard
+
+
+def _train(task, algorithm):
+    rng = np.random.default_rng(0)
+    model_fn, shard = task(rng)
+    sim = FederatedSimulation(
+        model=model_fn(),
+        clients=[
+            Client(cid, shard(SHARD), 8, np.random.default_rng(100 + cid))
+            for cid in range(CLIENTS)
+        ],
+        strategy=make_strategy(algorithm, local_lr=0.1, local_steps=3, rounds=2),
+        test_set=shard(16),
+        seed=3,
+    )
+    return sim.run(2).final_params
+
+
+@pytest.mark.parametrize("task", [_mlp_task, _lstm_task], ids=["mlp", "char_lstm"])
+@pytest.mark.parametrize("algorithm", ["fedavg", "taco", "scaffold", "stem"])
+def test_fused_run_matches_unfused_oracles(monkeypatch, task, algorithm):
+    shipped = _train(task, algorithm)
+
+    calls = {"linear": 0, "loss": 0}
+
+    def unfused_forward(layer, x):
+        calls["linear"] += 1
+        return naive_linear(x, layer.weight, layer.bias)
+
+    def unfused_loss(logits, targets):
+        calls["loss"] += 1
+        return naive_cross_entropy(logits, targets)
+
+    monkeypatch.setattr(Linear, "forward", unfused_forward)
+    monkeypatch.setattr(repro.fl.client, "cross_entropy", unfused_loss)
+    oracle = _train(task, algorithm)
+
+    assert calls["linear"] and calls["loss"], "the oracles never ran"
+    assert shipped.dtype == oracle.dtype
+    assert shipped.tobytes() == oracle.tobytes()

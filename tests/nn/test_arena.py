@@ -86,6 +86,21 @@ class TestRebuild:
         vec = model.parameters_vector()
         assert model._flat_arena is not old_arena
         assert vec.size == model.num_parameters()
+        # Registered on a child: the root's cached parameter list must see it.
+        old_arena, old_size = model._flat_arena, vec.size
+        model.layer0.extra = Parameter(np.full(3, 2.0))
+        vec = model.parameters_vector()
+        assert model._flat_arena is not old_arena
+        assert vec.size == old_size + 3 == model.num_parameters()
+        assert any(p is model.layer0.extra for p in model.parameters())
+
+    def test_parameters_returns_fresh_list(self, model):
+        params = model.parameters()
+        size = model.parameters_vector().size
+        params.append(Parameter(np.ones(4)))
+        assert len(model.parameters()) == len(params) - 1
+        assert model.parameters() is not model.parameters()
+        assert model.parameters_vector().size == size
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_empty_module_has_no_arena(self, dtype):

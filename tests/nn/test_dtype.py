@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.algorithms import algorithm_names, make_strategy
 from repro.autograd import (
     Tensor,
     cross_entropy,
@@ -12,6 +13,7 @@ from repro.autograd import (
     get_default_dtype,
     set_default_dtype,
 )
+from repro.fl.state import ClientUpdate, ServerState
 from repro.nn.models import MLP, PaperCNN
 from repro.optim import SGD
 
@@ -95,3 +97,37 @@ class TestFloat32Training:
         with default_dtype("float32"):
             vec32 = make().parameters_vector()
         assert vec32.nbytes * 2 == vec64.nbytes
+
+
+class TestStrategyDtype:
+    """Strategy state lives in the compute dtype: no float64 leaks into a
+    float32 run's directions, proximal gradients or aggregates."""
+
+    @pytest.mark.parametrize("algorithm", algorithm_names())
+    def test_round_zero_outputs_keep_float32(self, algorithm):
+        rng = np.random.default_rng(0)
+
+        def vector():
+            return rng.normal(size=12).astype(np.float32)
+
+        with default_dtype("float32"):
+            strategy = make_strategy(algorithm, local_lr=0.05, local_steps=2, rounds=2)
+            # Five clients: Krum needs more than byzantine_count + 2 updates.
+            state = ServerState(global_params=vector(), num_clients=5)
+            broadcast = strategy.broadcast(state)
+            updates = []
+            for cid in range(5):
+                payload = strategy.client_payload(cid, state, broadcast)
+                params = state.global_params + payload.get("start_shift", 0.0)
+                prox = strategy.prox_gradient(params, payload)
+                if prox is not None:
+                    assert prox.dtype == np.float32
+                direction = strategy.local_direction(
+                    cid, 0, params, vector(), lambda _: vector(), payload
+                )
+                assert direction.dtype == np.float32
+                extras = strategy.client_update_extras(cid, payload)
+                updates.append(ClientUpdate(
+                    cid, vector(), num_samples=10, num_steps=2, sim_time=0.0, extras=extras
+                ))
+            assert strategy.aggregate(state, updates).dtype == np.float32

@@ -1,12 +1,15 @@
 """Naive reference kernels: the pre-optimisation implementations, kept as oracles.
 
 These are deliberately slow, obviously-correct formulations (Python loops over
-windows, per-call index construction, per-parameter concatenation).  The parity
-suite in ``tests/autograd/test_kernel_parity.py`` asserts the production
-kernels in :mod:`repro.autograd.ops` and the arena-backed vector methods in
+windows, per-call index construction, per-parameter concatenation, unfused
+graphs of elementary Tensor ops).  The parity suite in
+``tests/autograd/test_kernel_parity.py`` asserts the production kernels in
+:mod:`repro.autograd.ops` and the arena-backed vector methods in
 :mod:`repro.nn.module` match them — bit-identically where the operation order
-is preserved.  They are correctness oracles only: speed is measured end to
-end against the previous production path by ``bench/run.py``.
+is preserved — and ``tests/integration/test_fused_graph_equivalence.py``
+trains whole runs on the unfused ``linear``/``cross_entropy`` oracles.  They
+are correctness oracles only: speed is measured end to end against the
+previous production path by ``bench/run.py``.
 
 Do not optimise anything here: being obviously correct is the point.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.autograd import log_softmax
 from repro.autograd.tensor import Tensor
 
 
@@ -135,6 +139,21 @@ def naive_lstm_cell_forward(cell, x: Tensor, h: Tensor, c: Tensor):
     c_next = f_gate * c + i_gate * g_gate
     h_next = o_gate * c_next.tanh()
     return h_next, c_next
+
+
+def naive_linear(x: Tensor, weight: Tensor, bias) -> Tensor:
+    """The unfused affine map: transpose, matmul and add graph nodes."""
+    out = x @ weight.T
+    if bias is not None:
+        out = out + bias
+    return out
+
+
+def naive_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """The unfused mean cross-entropy: log-softmax, pick, mean and negate nodes."""
+    targets = np.asarray(targets, dtype=np.int64)
+    picked = log_softmax(logits, axis=1)[np.arange(logits.shape[0]), targets]
+    return -picked.mean()
 
 
 def naive_parameters_vector(model) -> np.ndarray:
