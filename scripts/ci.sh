@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: the tier-1 test suite, one smoke run per CLI subsystem (faults,
 # telemetry, run records, scenarios, federation, chaos, serving, guard),
-# and the wall-clock benchmark's self-tests plus its smoke run.
+# and the wall-clock benchmark's self-tests, its smoke run and one smoke
+# pair of the paired A/B script.
 #
 # Usage: scripts/ci.sh   (from the repo root; needs pyproject's dev extra:
 # python -m pip install -e ".[dev]")
@@ -178,5 +179,8 @@ python -m pytest -q bench/tests
 
 echo "==> benchmark smoke run (four paper workloads, tiny sizes, checks on)"
 python bench/run.py --smoke --check --out out/bench_smoke.json
+
+echo "==> paired A/B plumbing (one smoke pair, HEAD against this tree)"
+python scripts/bench_pairs.py HEAD --pairs 1 -- --smoke
 
 echo "CI green."

@@ -7,11 +7,12 @@ of the CNN / ResNet / LSTM / MLP models: convolution via im2col, the pooling
 kernels, a fused LSTM step, the affine map of every ``Linear`` layer, and
 the numerically stabilised log-softmax and cross-entropy loss.
 
-Index arithmetic that depends only on shapes — im2col gather/scatter
-indices, pooling scatter offsets — is memoised with ``lru_cache`` so steady
--state training recomputes none of it (see docs/PERFORMANCE.md for the
-hot-path map and tests/reference_kernels.py for the naive oracles these
-kernels are verified against).
+Convolution needs no index arithmetic: its im2col is one strided copy of a
+sliding-window view.  The pooling scatter offsets, which depend only on
+shapes, are memoised with ``lru_cache`` so steady-state training recomputes
+none of them (see docs/PERFORMANCE.md for the hot-path map and
+tests/reference_kernels.py for the oracles these kernels are verified
+against).
 """
 
 from __future__ import annotations
@@ -26,32 +27,28 @@ from .tensor import Tensor, _unbroadcast, get_default_dtype, is_grad_enabled
 _sliding_window_view = np.lib.stride_tricks.sliding_window_view
 
 
-@lru_cache(maxsize=128)
-def _im2col_indices(
-    channels: int, height: int, width: int, kernel: int, stride: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gather indices for im2col, plus flat scatter indices for the backward.
+def _window_output_size(
+    shape: Tuple[int, ...], kernel: int, stride: int, padding: int = 0
+) -> Tuple[int, int]:
+    """``(out_h, out_w)`` of a square window sliding over a 4-D NCHW input.
 
-    Keyed on the per-sample geometry only (no batch dimension), so a final
-    partial mini-batch reuses the same cache entry as the full-size batches.
-    Returns ``(k, i, j, flat)`` where ``flat`` maps each im2col cell to its
-    linear offset within one sample's ``(C, H, W)`` volume — used by the
-    backward pass to scatter gradients with ``np.bincount`` (much faster
-    than ``np.add.at`` on this single-core target).
+    The one geometry check of ``conv2d``, ``max_pool2d`` and ``avg_pool2d``:
+    a geometry numpy would turn into an empty tensor, garbage or a
+    traceback from deep inside the kernel raises one ``ValueError`` that
+    names the bad value instead.
     """
-    out_h = (height - kernel) // stride + 1
-    out_w = (width - kernel) // stride + 1
-
-    i0 = np.repeat(np.arange(kernel), kernel)
-    i0 = np.tile(i0, channels)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kernel), kernel * channels)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(channels), kernel * kernel).reshape(-1, 1)
-    flat = (k * height + i) * width + j
-    return k, i, j, flat
+    if len(shape) != 4:
+        raise ValueError(f"expected a 4-D (batch, channels, height, width) input, got shape {shape}")
+    if kernel < 1:
+        raise ValueError(f"kernel {kernel} must be at least 1")
+    if stride < 1:
+        raise ValueError(f"stride {stride} must be at least 1")
+    if padding < 0:
+        raise ValueError(f"padding {padding} must be non-negative")
+    height, width = shape[2] + 2 * padding, shape[3] + 2 * padding
+    if height < kernel or width < kernel:
+        raise ValueError(f"kernel {kernel} larger than spatial dims {(height, width)}")
+    return (height - kernel) // stride + 1, (width - kernel) // stride + 1
 
 
 @lru_cache(maxsize=256)
@@ -96,21 +93,26 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
     bias:
         Optional bias of shape ``(out_channels,)``.
     """
+    out_c, w_in_c, kernel, kernel2 = weight.shape
+    out_h, out_w = _window_output_size(x.shape, kernel, stride, padding)
     if padding:
         x = x.pad2d(padding)
-    batch, in_c, height, width = x.shape
-    out_c, w_in_c, kernel, kernel2 = weight.shape
+    batch, in_c = x.shape[:2]
     if w_in_c != in_c or kernel != kernel2:
         raise ValueError(
             f"weight shape {weight.shape} incompatible with input shape {x.shape}"
         )
-    out_h = (height - kernel) // stride + 1
-    out_w = (width - kernel) // stride + 1
 
-    _, _, _, flat = _im2col_indices(in_c, height, width, kernel, stride)
-    # np.take on the flattened per-sample volume is the same pure copy as the
-    # triple fancy index (identical bits) at roughly half the index overhead.
-    cols = np.take(x.data.reshape(batch, -1), flat, axis=1)  # (batch, C*k*k, P)
+    # im2col as ONE strided copy laid out (C*k*k, batch, P): the layout that
+    # both the dgemm inside tensordot and the matmul inside the backward's
+    # einsum read, so neither makes a transposed copy of its own.  ``cols``
+    # is a (batch, C*k*k, P) view of it: both calls receive the same values
+    # as from an index gather into (batch, C*k*k, P), and give the same bits
+    # (tests/reference_kernels.take_im2col_conv2d is that gather).
+    windows = _sliding_window_view(x.data, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
+    cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(
+        in_c * kernel * kernel, batch, out_h * out_w
+    ).transpose(1, 0, 2)
     w_flat = weight.data.reshape(out_c, -1)
     # tensordot collapses the batched product into ONE dgemm; the broadcast
     # np.matmul form runs batch separate small GEMMs and is ~2x slower here.
@@ -131,6 +133,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
 
     def backward(g: np.ndarray):
         g_flat = g.reshape(batch, out_c, -1)  # (batch, out_c, P)
+        # Keep the einsum: matmul spellings of this contraction (g @ cols.T
+        # over the folded batch) move the last bit on some shapes.
         grad_w = np.einsum("bop,bcp->oc", g_flat, cols, optimize=True).reshape(weight.shape)
         grad_x = None
         if x_requires:
@@ -178,12 +182,9 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     ``multiply`` pass (no index math, no scatter); overlapping windows fall
     back to cached flat offsets + ``np.bincount``.
     """
-    stride = stride or kernel
+    stride = kernel if stride is None else stride
+    out_h, out_w = _window_output_size(x.shape, kernel, stride)
     batch, channels, height, width = x.shape
-    if height < kernel or width < kernel:
-        raise ValueError(f"kernel {kernel} larger than spatial dims {(height, width)}")
-    out_h = (height - kernel) // stride + 1
-    out_w = (width - kernel) // stride + 1
 
     data = x.data
     out = data[:, :, : stride * out_h : stride, : stride * out_w : stride].copy()
@@ -260,12 +261,9 @@ def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     through a sliding-window forward and a cached-index ``np.bincount``
     scatter backward.
     """
-    stride = stride or kernel
+    stride = kernel if stride is None else stride
+    out_h, out_w = _window_output_size(x.shape, kernel, stride)
     batch, channels, height, width = x.shape
-    if height < kernel or width < kernel:
-        raise ValueError(f"kernel {kernel} larger than spatial dims {(height, width)}")
-    out_h = (height - kernel) // stride + 1
-    out_w = (width - kernel) // stride + 1
     scale = 1.0 / (kernel * kernel)
     x_shape = x.shape
 
@@ -556,7 +554,8 @@ def batched_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     log_probs, exp, sum_exp = _stable_log_softmax(logits.data, 2)
     softmax = exp / sum_exp
 
-    picked = np.take_along_axis(log_probs, targets[:, :, None], axis=2)[:, :, 0]
+    cells = (np.arange(clients)[:, None], np.arange(batch), targets)
+    picked = log_probs[cells]
     losses = np.empty(clients, dtype=log_probs.dtype)
     for client in range(clients):
         # Replays cross_entropy's -(picked.mean()) node chain exactly:
@@ -567,7 +566,7 @@ def batched_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     def backward(g: np.ndarray):
         coeff = (-np.asarray(g)) * (1.0 / batch)
         g_ls = np.zeros_like(log_probs)
-        np.add.at(g_ls, (np.arange(clients)[:, None], np.arange(batch), targets), coeff)
+        np.add.at(g_ls, cells, coeff)
         return (g_ls - softmax * g_ls.sum(axis=2, keepdims=True),)
 
     requires = is_grad_enabled() and logits.requires_grad

@@ -191,7 +191,9 @@ def restore_run(
 
     Every array of ``arrays.npz`` is returned under its first key segment
     (``"transport"``, ``"guard"``, ``"event"``, ...) so the engine can
-    restore its own state next.
+    restore its own state next.  A checkpoint whose server vectors are of
+    another dtype than the engine's (written under the other compute
+    dtype) is refused rather than resumed with mixed dtypes.
     """
     directory = Path(directory)
     groups: Dict[str, Dict[str, np.ndarray]] = {}
@@ -211,6 +213,12 @@ def restore_run(
         )
 
     state = engine.server.state
+    stored, current = server["global_params"].dtype, state.global_params.dtype
+    if stored != current:
+        raise ValueError(
+            f"cannot resume from {directory}: its parameters are {stored}, "
+            f"this run computes in {current}"
+        )
     state.global_params = server["global_params"].copy()
     state.prev_global_params = (
         server["prev_global_params"].copy() if "prev_global_params" in server else None

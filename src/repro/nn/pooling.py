@@ -12,7 +12,7 @@ class MaxPool2d(Module):
     def __init__(self, kernel_size: int, stride: int | None = None) -> None:
         super().__init__()
         self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
+        self.stride = kernel_size if stride is None else stride
 
     def forward(self, x: Tensor) -> Tensor:
         return max_pool2d(x, self.kernel_size, self.stride)

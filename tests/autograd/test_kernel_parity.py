@@ -1,15 +1,19 @@
-"""Parity suite: production kernels vs the naive reference oracles.
+"""Parity suite: production kernels vs the reference oracles.
 
 Pooling is checked for *bit-identical* forward and backward values — the
 vectorized rewrites preserve the naive implementations' comparison order
 (strictly-greater updates keep first-occurrence argmax ties) and scatter
 addend order, so any drift at all is a regression.  The fused ``linear``
 and ``cross_entropy`` nodes replay their unfused graphs' arithmetic, so
-they too are checked byte for byte, under float64 and float32.  Convolution and the
-fused LSTM step route the same contractions through different BLAS entry
-points (one collapsed dgemm vs per-batch GEMMs; closed-form vs chained
-backward), which can move the last bit or two, so they are compared at
-near-machine tolerance instead.
+they too are checked byte for byte, under float64 and float32.
+Convolution is checked byte for byte, under both dtypes, against the
+previous production kernel (``take_im2col_conv2d``): the one strided im2col
+copy hands ``tensordot`` and ``einsum`` the same operands its ``np.take``
+gather did.  Against the naive oracle, convolution and the fused LSTM step
+route the same contractions through different BLAS entry points (one
+collapsed dgemm vs per-batch GEMMs; closed-form vs chained backward), which
+can move the last bit or two, so those are compared at near-machine
+tolerance instead.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from tests.reference_kernels import (
     naive_linear,
     naive_lstm_cell_forward,
     naive_max_pool2d,
+    take_im2col_conv2d,
 )
 
 DTYPES = ["float64", "float32"]
@@ -55,7 +60,60 @@ def _forward_backward(fn, *tensors):
     return out.data.copy(), grads
 
 
+# (input shape, out channels, kernel, stride, padding, input needs grad).
+# PaperCNN's two 5x5 layers at width 0.25 and 1.0 on 28x28 inputs, at the
+# training batch (16), the evaluation batch (250) and a ragged last batch (7);
+# ResNet-18's stem, 3x3 stride-1 and stride-2 and 1x1 stride-2 shortcut
+# convolutions; the near-machine cases below; and a data batch that needs no
+# grad.  The weight gradient's einsum must stay an einsum: spelled as
+# ``g @ cols.T`` over the folded batch it moves the last bit on the
+# (7,1,28,28)->6 k5, (4,16,32,32)->32 k1 s2, (3,2,7,7)->5 k3 s2 and
+# (2,4,6,6)->4 k2 s2 cases in float64, and on the k1 s2 one in float32.
+PREVIOUS_KERNEL_GRID = [
+    pytest.param((batch, in_c, size, size), out_c, 5, 1, 2, True, id=f"cnn{width}-{layer}-b{batch}")
+    for batch in (16, 250, 7)
+    for width, layers in (("0.25", ((1, 28, 2), (2, 14, 4))), ("1.0", ((1, 28, 6), (6, 14, 16))))
+    for layer, (in_c, size, out_c) in zip(("conv1", "conv2"), layers)
+] + [
+    pytest.param((4, 3, 32, 32), 16, 3, 1, 1, True, id="resnet-stem"),
+    pytest.param((4, 16, 32, 32), 16, 3, 1, 1, True, id="resnet-3x3-s1"),
+    pytest.param((4, 16, 32, 32), 32, 3, 2, 1, True, id="resnet-3x3-s2"),
+    pytest.param((4, 16, 32, 32), 32, 1, 2, 0, True, id="resnet-shortcut-1x1-s2"),
+    pytest.param((2, 1, 8, 8), 4, 3, 1, 0, True, id="parity-k3"),
+    pytest.param((3, 2, 7, 7), 5, 3, 2, 1, True, id="parity-k3-s2-p1"),
+    pytest.param((1, 3, 10, 10), 2, 5, 1, 2, True, id="parity-k5-p2"),
+    pytest.param((2, 4, 6, 6), 4, 2, 2, 0, True, id="parity-k2-s2"),
+    pytest.param((3, 2, 9, 9), 4, 3, 1, 1, False, id="input-needs-no-grad"),
+]
+
+
 class TestConvParity:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize(
+        "shape,out_c,kernel,stride,padding,input_grad", PREVIOUS_KERNEL_GRID
+    )
+    def test_byte_equal_to_previous_kernel(
+        self, rng, dtype, shape, out_c, kernel, stride, padding, input_grad
+    ):
+        x_data = rng.normal(size=shape)
+        w_data = rng.normal(size=(out_c, shape[1], kernel, kernel))
+        b_data = rng.normal(size=out_c)
+        out_hw = [(size + 2 * padding - kernel) // stride + 1 for size in shape[2:]]
+        g_data = rng.normal(size=(shape[0], out_c, *out_hw))
+
+        def run(conv):
+            x = Tensor(x_data, requires_grad=input_grad)
+            w = Tensor(w_data, requires_grad=True)
+            b = Tensor(b_data, requires_grad=True)
+            out = conv(x, w, b, stride=stride, padding=padding)
+            out.backward(g_data.astype(out.data.dtype))
+            return [out.data, x.grad, w.grad, b.grad]
+
+        with default_dtype(dtype):
+            fast, ref = run(conv2d), run(take_im2col_conv2d)
+        assert (fast[1] is None) == (not input_grad)
+        _assert_same_bytes(fast, ref, dtype)
+
     @pytest.mark.parametrize(
         "shape,out_c,kernel,stride,padding",
         [

@@ -107,6 +107,71 @@ class TestPooling:
             avg_pool2d(x, 4)
 
 
+
+POOLS = [max_pool2d, avg_pool2d]
+
+
+class TestWindowGeometry:
+    """Impossible windows raise one ValueError naming the bad value."""
+
+    @pytest.fixture
+    def x(self, rng):
+        return Tensor(rng.normal(size=(1, 2, 4, 4)))
+
+    @staticmethod
+    def weight(rng, kernel):
+        return Tensor(rng.normal(size=(2, 2, kernel, kernel)))
+
+    def test_conv_kernel_larger_than_input(self, x, rng):
+        with pytest.raises(ValueError, match=r"kernel 5 larger than spatial dims \(4, 4\)"):
+            conv2d(x, self.weight(rng, 5), None)
+
+    def test_conv_kernel_larger_than_padded_input(self, x, rng):
+        with pytest.raises(ValueError, match=r"kernel 7 larger than spatial dims \(6, 6\)"):
+            conv2d(x, self.weight(rng, 7), None, padding=1)
+
+    def test_conv_empty_kernel(self, x, rng):
+        with pytest.raises(ValueError, match="kernel 0 must be at least 1"):
+            conv2d(x, self.weight(rng, 0), None)
+
+    def test_conv_zero_stride(self, x, rng):
+        with pytest.raises(ValueError, match="stride 0 must be at least 1"):
+            conv2d(x, self.weight(rng, 3), None, stride=0)
+
+    def test_conv_negative_stride(self, x, rng):
+        with pytest.raises(ValueError, match="stride -1 must be at least 1"):
+            conv2d(x, self.weight(rng, 3), None, stride=-1)
+
+    def test_conv_negative_padding(self, x, rng):
+        with pytest.raises(ValueError, match="padding -1 must be non-negative"):
+            conv2d(x, self.weight(rng, 3), None, padding=-1)
+
+    def test_conv_3d_input(self, rng):
+        x = Tensor(rng.normal(size=(2, 4, 4)))
+        with pytest.raises(ValueError, match=r"4-D .* got shape \(2, 4, 4\)"):
+            conv2d(x, self.weight(rng, 3), None)
+
+    @pytest.mark.parametrize("pool", POOLS)
+    def test_pool_zero_stride(self, x, pool):
+        with pytest.raises(ValueError, match="stride 0 must be at least 1"):
+            pool(x, 2, stride=0)
+
+    @pytest.mark.parametrize("pool", POOLS)
+    def test_pool_negative_stride(self, x, pool):
+        with pytest.raises(ValueError, match="stride -1 must be at least 1"):
+            pool(x, 2, stride=-1)
+
+    @pytest.mark.parametrize("pool", POOLS)
+    def test_pool_zero_kernel(self, x, pool):
+        with pytest.raises(ValueError, match="kernel 0 must be at least 1"):
+            pool(x, 0)
+
+    @pytest.mark.parametrize("pool", POOLS)
+    def test_pool_3d_input(self, rng, pool):
+        x = Tensor(rng.normal(size=(2, 4, 4)))
+        with pytest.raises(ValueError, match=r"4-D .* got shape \(2, 4, 4\)"):
+            pool(x, 2)
+
 class TestSoftmaxLosses:
     def test_log_softmax_normalises(self, rng):
         x = Tensor(rng.normal(size=(4, 7)))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import FedAvg, make_strategy
+from repro.autograd import default_dtype
 from repro.federation import AsyncCoordinator, ClientRegistry
 from repro.fl import checkpoint
 from repro.fl.sampling import FullParticipation
@@ -143,6 +144,27 @@ def test_other_engine_checkpoint_rejected(tmp_path, writer, reader):
     make_engine(writer).run(2, checkpoint_every=2, checkpoint_dir=tmp_path)
     with pytest.raises(ValueError, match=f"cannot resume the {reader} engine"):
         make_engine(reader).run(4, resume_from=tmp_path)
+
+
+@pytest.mark.parametrize("kind", ENGINES)
+@pytest.mark.parametrize("written, resumed", [("float64", "float32"), ("float32", "float64")])
+def test_other_dtype_checkpoint_rejected(tmp_path, kind, written, resumed):
+    with default_dtype(written):
+        make_engine(kind).run(2, checkpoint_every=2, checkpoint_dir=tmp_path)
+    with default_dtype(resumed), pytest.raises(
+        ValueError, match=f"parameters are {written}, this run computes in {resumed}"
+    ):
+        make_engine(kind).run(4, resume_from=tmp_path)
+
+
+@pytest.mark.parametrize("kind", ENGINES)
+def test_float32_checkpoint_resumes_bit_exact(tmp_path, kind):
+    with default_dtype("float32"):
+        straight = make_engine(kind).run(4)
+        make_engine(kind).run(2, checkpoint_every=2, checkpoint_dir=tmp_path)
+        resumed = make_engine(kind).run(4, resume_from=tmp_path)
+    assert resumed.final_params.dtype == np.float32
+    assert resumed.final_params.tobytes() == straight.final_params.tobytes()
 
 
 @pytest.mark.parametrize("kind", ENGINES)

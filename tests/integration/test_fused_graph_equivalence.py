@@ -7,6 +7,9 @@ training runs must not move a bit: every run below trains twice from the
 same seed — once as shipped, once with ``Linear.forward`` and the client's
 ``cross_entropy`` swapped for the unfused oracles in
 ``tests/reference_kernels.py`` — and the final parameter bytes must match.
+A PaperCNN run is held to the same standard against the previous
+``conv2d`` (``take_im2col_conv2d``, an ``np.take`` gather), which
+``Conv2d.forward`` is swapped for.
 """
 
 import numpy as np
@@ -16,10 +19,10 @@ import repro.fl.client
 from repro.algorithms import make_strategy
 from repro.data import TensorDataset
 from repro.fl import Client, FederatedSimulation
-from repro.nn import Linear
-from repro.nn.models import MLP, CharLSTM
+from repro.nn import Conv2d, Linear
+from repro.nn.models import MLP, CharLSTM, PaperCNN
 
-from tests.reference_kernels import naive_cross_entropy, naive_linear
+from tests.reference_kernels import naive_cross_entropy, naive_linear, take_im2col_conv2d
 
 CLIENTS = 4
 SHARD = 24
@@ -41,6 +44,16 @@ def _lstm_task(rng):
 
     def model():
         return CharLSTM(VOCAB, embedding_dim=4, hidden_size=8, rng=np.random.default_rng(7))
+
+    return model, shard
+
+
+def _cnn_task(rng):
+    def shard(n):
+        return TensorDataset(rng.normal(size=(n, 1, 8, 8)), rng.integers(0, 3, size=n))
+
+    def model():
+        return PaperCNN(1, 8, 3, width_multiplier=0.25, rng=np.random.default_rng(7))
 
     return model, shard
 
@@ -81,5 +94,25 @@ def test_fused_run_matches_unfused_oracles(monkeypatch, task, algorithm):
     oracle = _train(task, algorithm)
 
     assert calls["linear"] and calls["loss"], "the oracles never ran"
+    assert shipped.dtype == oracle.dtype
+    assert shipped.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("algorithm", ["fedavg", "taco", "scaffold", "stem"])
+def test_cnn_run_matches_previous_conv_kernel(monkeypatch, algorithm):
+    shipped = _train(_cnn_task, algorithm)
+
+    calls = {"conv": 0}
+
+    def previous_forward(layer, x):
+        calls["conv"] += 1
+        return take_im2col_conv2d(
+            x, layer.weight, layer.bias, stride=layer.stride, padding=layer.padding
+        )
+
+    monkeypatch.setattr(Conv2d, "forward", previous_forward)
+    oracle = _train(_cnn_task, algorithm)
+
+    assert calls["conv"], "the oracle never ran"
     assert shipped.dtype == oracle.dtype
     assert shipped.tobytes() == oracle.tobytes()

@@ -7,8 +7,10 @@ graphs of elementary Tensor ops).  The parity suite in
 :mod:`repro.autograd.ops` and the arena-backed vector methods in
 :mod:`repro.nn.module` match them — bit-identically where the operation order
 is preserved — and ``tests/integration/test_fused_graph_equivalence.py``
-trains whole runs on the unfused ``linear``/``cross_entropy`` oracles.  They
-are correctness oracles only: speed is measured end to end against the
+trains whole runs on the unfused ``linear``/``cross_entropy`` oracles and on
+``take_im2col_conv2d``.  That one is not naive: it is the previous production
+``conv2d``, kept verbatim because the current kernel promises its bytes.
+They are correctness oracles only: speed is measured end to end against the
 previous production path by ``bench/run.py``.
 
 Do not optimise anything here: being obviously correct is the point.
@@ -16,10 +18,13 @@ Do not optimise anything here: being obviously correct is the point.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import Tuple
+
 import numpy as np
 
 from repro.autograd import log_softmax
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, is_grad_enabled
 
 
 def naive_conv2d(x: Tensor, weight: Tensor, bias, stride: int = 1, padding: int = 0) -> Tensor:
@@ -43,8 +48,10 @@ def naive_conv2d(x: Tensor, weight: Tensor, bias, stride: int = 1, padding: int 
 
     cols = x.data[:, k, i, j]  # (batch, in_c*k*k, out_h*out_w)
     w_flat = weight.data.reshape(out_c, -1)
-    # Same matmul contraction as the production kernel — the naive parts are
-    # the per-call index construction above and the np.add.at scatter below.
+    # Per-batch GEMMs, where the production kernel runs one collapsed dgemm
+    # through tensordot, so the two agree to a couple of ULP, not to the byte.
+    # The other naive parts are the per-call index construction above and
+    # the np.add.at scatter below.
     out = np.matmul(w_flat, cols)
     if bias is not None:
         out = out + bias.data.reshape(1, out_c, 1)
@@ -65,6 +72,120 @@ def naive_conv2d(x: Tensor, weight: Tensor, bias, stride: int = 1, padding: int 
 
     result = Tensor(out, requires_grad=any(p.requires_grad for p in parents), _parents=tuple(parents))
     if result.requires_grad:
+        result._backward = backward
+    return result
+
+
+@lru_cache(maxsize=128)
+def _im2col_indices(
+    channels: int, height: int, width: int, kernel: int, stride: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gather indices for im2col, plus flat scatter indices for the backward.
+
+    Keyed on the per-sample geometry only (no batch dimension), so a final
+    partial mini-batch reuses the same cache entry as the full-size batches.
+    Returns ``(k, i, j, flat)`` where ``flat`` maps each im2col cell to its
+    linear offset within one sample's ``(C, H, W)`` volume — used by the
+    backward pass to scatter gradients with ``np.bincount`` (much faster
+    than ``np.add.at`` on this single-core target).
+    """
+    out_h = (height - kernel) // stride + 1
+    out_w = (width - kernel) // stride + 1
+
+    i0 = np.repeat(np.arange(kernel), kernel)
+    i0 = np.tile(i0, channels)
+    i1 = stride * np.repeat(np.arange(out_h), out_w)
+    j0 = np.tile(np.arange(kernel), kernel * channels)
+    j1 = stride * np.tile(np.arange(out_w), out_h)
+    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
+    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
+    k = np.repeat(np.arange(channels), kernel * kernel).reshape(-1, 1)
+    flat = (k * height + i) * width + j
+    return k, i, j, flat
+
+
+def take_im2col_conv2d(
+    x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padding: int = 0
+) -> Tensor:
+    """The previous production ``conv2d``: cached indices and an ``np.take`` gather.
+
+    Kept verbatim as a byte oracle.  It copies its column matrix into
+    (batch, C*k*k, P) with ``np.take``, and ``tensordot`` and ``einsum``
+    then transpose it again; ``repro.autograd.conv2d`` feeds the same calls
+    a view of one strided copy and must give the same bytes.
+
+    Parameters
+    ----------
+    x:
+        Input of shape ``(batch, in_channels, height, width)``.
+    weight:
+        Kernel of shape ``(out_channels, in_channels, k, k)``.
+    bias:
+        Optional bias of shape ``(out_channels,)``.
+    """
+    if padding:
+        x = x.pad2d(padding)
+    batch, in_c, height, width = x.shape
+    out_c, w_in_c, kernel, kernel2 = weight.shape
+    if w_in_c != in_c or kernel != kernel2:
+        raise ValueError(
+            f"weight shape {weight.shape} incompatible with input shape {x.shape}"
+        )
+    out_h = (height - kernel) // stride + 1
+    out_w = (width - kernel) // stride + 1
+
+    _, _, _, flat = _im2col_indices(in_c, height, width, kernel, stride)
+    # np.take on the flattened per-sample volume is the same pure copy as the
+    # triple fancy index (identical bits) at roughly half the index overhead.
+    cols = np.take(x.data.reshape(batch, -1), flat, axis=1)  # (batch, C*k*k, P)
+    w_flat = weight.data.reshape(out_c, -1)
+    # tensordot collapses the batched product into ONE dgemm; the broadcast
+    # np.matmul form runs batch separate small GEMMs and is ~2x slower here.
+    # BLAS may pick a different kernel for the collapsed shape, so values can
+    # differ from the per-batch form by a couple of ULP (deterministic within
+    # a run — all round-trip/equivalence guarantees are unaffected).
+    out = np.tensordot(w_flat, cols, axes=([1], [1]))  # (out_c, batch, P)
+    if bias is not None:
+        out = out + bias.data.reshape(out_c, 1, 1)
+    out = np.ascontiguousarray(out.transpose(1, 0, 2)).reshape(
+        batch, out_c, out_h, out_w
+    )
+
+    x_shape = x.shape
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    x_requires = x.requires_grad
+
+    def backward(g: np.ndarray):
+        g_flat = g.reshape(batch, out_c, -1)  # (batch, out_c, P)
+        grad_w = np.einsum("bop,bcp->oc", g_flat, cols, optimize=True).reshape(weight.shape)
+        grad_x = None
+        if x_requires:
+            grad_cols = np.matmul(w_flat.T, g_flat)  # (batch, C*k*k, P)
+            # col2im as k*k vectorized strided adds — each in-window offset
+            # maps its whole (batch, C, oH, oW) gradient block onto a strided
+            # slice of the input in one shot.  Per input cell the addends
+            # arrive in the same (kh, kw)-ascending order a per-element
+            # np.add.at would use, so the sums match an element-wise scatter
+            # of the same grad_cols bit-for-bit while running ~2x faster.
+            # Skipped entirely for a non-grad input (the data batch at the
+            # first layer): the dispatch would discard it anyway, and the
+            # input-layer col2im is the single most expensive grad piece.
+            windowed = grad_cols.reshape(batch, in_c, kernel * kernel, out_h, out_w)
+            grad_x = np.zeros(x_shape, dtype=g.dtype)
+            for offset in range(kernel * kernel):
+                kh, kw = divmod(offset, kernel)
+                grad_x[
+                    :, :, kh : kh + stride * out_h : stride, kw : kw + stride * out_w : stride
+                ] += windowed[:, :, offset]
+        if bias is None:
+            return (grad_x, grad_w)
+        grad_b = g_flat.sum(axis=(0, 2))
+        return (grad_x, grad_w, grad_b)
+
+    requires = is_grad_enabled() and any(p.requires_grad for p in parents)
+    result = Tensor(out, requires_grad=requires, _parents=parents if requires else ())
+    if requires:
         result._backward = backward
     return result
 

@@ -275,6 +275,18 @@ class TestFederate:
         assert err.startswith("error: cannot resume")
         assert err.count("\n") == 1  # one line, no traceback
 
+    def test_resume_under_other_dtype_is_usage_error(self, tmp_path, capsys):
+        checkpoints = str(tmp_path / "ckpt")
+        assert main(["run", *TestCommands.COMMON, "--checkpoint-every", "1",
+                     "--checkpoint-dir", checkpoints]) == 0
+        capsys.readouterr()
+        assert main(["run", *TestCommands.COMMON, "--dtype", "float32",
+                     "--checkpoint-dir", checkpoints, "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot resume")
+        assert "float64" in err and "float32" in err
+        assert err.count("\n") == 1  # one line, no traceback
+
 
 class TestServingObservability:
     def test_federate_trace_deliveries_summary(self, capsys):
