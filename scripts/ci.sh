@@ -2,7 +2,7 @@
 # CI gate: the tier-1 test suite, one smoke run per CLI subsystem (faults,
 # telemetry, run records, scenarios, federation, chaos, serving, guard),
 # the wall-clock benchmark's self-tests, its smoke run and one smoke pair
-# of the paired A/B script, and one run-record parity check against HEAD.
+# of the paired A/B script, and two run-record parity checks against HEAD.
 #
 # Usage: scripts/ci.sh   (from the repo root; needs pyproject's dev extra:
 # python -m pip install -e ".[dev]")
@@ -54,7 +54,17 @@ required = {
 }
 missing = required - names
 assert not missing, f"trace missing metrics: {missing}"
-print(f"telemetry smoke ok: {len(events)} events, {len(names)} metric names")
+
+diagnostics = [e["fields"] for e in events if e.get("name") == "algo.diagnostics"]
+assert [d["round"] for d in diagnostics] == [0, 1], (
+    f"expected one algo.diagnostics event per round, got {len(diagnostics)}"
+)
+for fields in diagnostics:
+    alphas = fields["per_client"].get("taco.alpha")
+    assert alphas, f"round {fields['round']} carries no per-client TACO alpha"
+    assert all(0.0 <= a <= 1.0 for a in alphas.values()), alphas
+print(f"telemetry smoke ok: {len(events)} events, {len(names)} metric names, "
+      f"{len(diagnostics)} algo.diagnostics events")
 PY
 
 echo "==> introspection + run-record smoke (report + self-diff)"
@@ -185,5 +195,6 @@ python scripts/bench_pairs.py HEAD --pairs 1 -- --smoke
 
 echo "==> run-record parity (table2 on adult, HEAD against this tree)"
 python scripts/record_parity.py HEAD -- table2 --datasets adult
+python scripts/record_parity.py HEAD -- table2 --datasets adult --introspect
 
 echo "CI green."

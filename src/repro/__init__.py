@@ -28,8 +28,11 @@ Subpackages:
 - :mod:`repro.guard` — self-healing training: anomaly detection, automatic
   rollback to known-good snapshots, and adaptive recovery.
 - :mod:`repro.theory` — Theorem 1 / Corollary 1-2 quantities.
-- :mod:`repro.introspect` — per-round algorithm diagnostics (alpha_i, drift
-  cosines, live Y_t) behind a zero-overhead no-op default.
+- :mod:`repro.telemetry` — the one observation hub: spans, metrics and
+  per-round algorithm diagnostics (alpha_i, drift cosines, strikes) behind
+  a zero-overhead no-op default.
+- :mod:`repro.introspect` — the live Theorem-1 / Corollary-2 proxies (Y_t)
+  published into those diagnostics.
 - :mod:`repro.runrecord` — versioned, schema-validated ``runrecord.json``
   artifacts written by simulations and experiments.
 - :mod:`repro.report` — HTML/ASCII run reports and cross-run regression

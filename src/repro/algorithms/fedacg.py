@@ -18,7 +18,7 @@ import numpy as np
 
 from ..fl.state import ClientUpdate, ServerState
 from ..fl.timing import ComputeProfile
-from ..introspect import get_introspector
+from ..telemetry import get_telemetry
 from .base import Strategy
 
 
@@ -88,9 +88,9 @@ class FedACG(Strategy):
         # m_{t+1} = lam * m_t + average client movement (parameter units);
         # the server step applies exactly m_{t+1}: w_{t+1} = w_t - m_{t+1}.
         self._momentum = self.momentum_decay * self._momentum + avg_delta
-        introspector = get_introspector()
-        if introspector.enabled:
-            introspector.scalar(
+        telemetry = get_telemetry()
+        if telemetry.enabled:
+            telemetry.scalar(
                 "fedacg.momentum_norm", float(np.linalg.norm(self._momentum))
             )
         eta_g = self.local_steps * self.local_lr

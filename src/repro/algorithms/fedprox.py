@@ -19,7 +19,7 @@ import numpy as np
 
 from ..fl.state import ServerState
 from ..fl.timing import ComputeProfile
-from ..introspect import get_introspector
+from ..telemetry import get_telemetry
 from .base import Strategy
 
 
@@ -41,11 +41,11 @@ class FedProx(Strategy):
     def client_payload(self, client_id: int, state: ServerState, broadcast: Dict[str, Any]) -> Dict[str, Any]:
         payload = dict(broadcast)
         payload["zeta"] = self.per_client_zeta(client_id, state)
-        introspector = get_introspector()
-        if introspector.enabled:
+        telemetry = get_telemetry()
+        if telemetry.enabled:
             # Uniform in the original, per-client under the Fig. 6 hybrid —
             # recording it per client makes the difference visible.
-            introspector.client_value("fedprox.zeta", client_id, payload["zeta"])
+            telemetry.per_client("fedprox.zeta", {client_id: payload["zeta"]})
         return payload
 
     def per_client_zeta(self, client_id: int, state: ServerState) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..fl.state import ClientUpdate, ServerState, cosine_similarity
 from ..fl.timing import ComputeProfile
-from ..introspect import get_introspector
+from ..telemetry import get_telemetry
 from .base import Strategy
 
 
@@ -46,9 +46,9 @@ class FoolsGold(Strategy):
             for update in updates
         ]
         self.last_weights = {u.client_id: w for u, w in zip(updates, weights)}
-        introspector = get_introspector()
-        if introspector.enabled:
-            introspector.per_client("foolsgold.weight", self.last_weights)
+        telemetry = get_telemetry()
+        if telemetry.enabled:
+            telemetry.per_client("foolsgold.weight", self.last_weights)
 
         total_weight = sum(weights)
         aggregated = np.zeros_like(reference)

@@ -23,17 +23,17 @@ from typing import Any, Dict, Mapping, Sequence
 import numpy as np
 
 from ..fl.state import ClientUpdate, ServerState
-from ..introspect import get_introspector
+from ..telemetry import get_telemetry
 from .fedprox import FedProx
 from .scaffold import Scaffold
 from .taco import INITIAL_ALPHA, TACO
 
 
 def _publish_tailored_alphas(alphas: Mapping[int, float]) -> None:
-    """Expose a hybrid's Eq. 7 coefficients to the introspection layer."""
-    introspector = get_introspector()
-    if introspector.enabled and alphas:
-        introspector.per_client("taco.alpha", dict(alphas))
+    """Publish a hybrid's Eq. 7 coefficients into the round's diagnostics."""
+    telemetry = get_telemetry()
+    if telemetry.enabled and alphas:
+        telemetry.per_client("taco.alpha", dict(alphas))
 
 
 def _tailored_scales(alphas: Mapping[int, float]) -> Dict[int, float]:

@@ -20,7 +20,6 @@ import numpy as np
 
 from ..fl.state import ClientUpdate, ServerState
 from ..fl.timing import ComputeProfile
-from ..introspect import get_introspector
 from ..telemetry import get_telemetry
 from .base import GradFn, Strategy
 
@@ -104,17 +103,12 @@ class Scaffold(Strategy):
             self._client_controls[cid] = new_control
         self._server_control = self._server_control + control_shift / state.num_clients
         telemetry = get_telemetry()
-        if telemetry.enabled:  # norm computed only when someone listens
-            telemetry.gauge("scaffold.server_control_norm").set(
-                float(np.linalg.norm(self._server_control))
-            )
-        introspector = get_introspector()
-        if introspector.enabled:
-            introspector.scalar(
+        if telemetry.enabled:  # norms computed only when someone listens
+            telemetry.scalar(
                 "scaffold.server_control_norm",
                 float(np.linalg.norm(self._server_control)),
             )
-            introspector.per_client(
+            telemetry.per_client(
                 "scaffold.client_control_norm",
                 {
                     u.client_id: float(np.linalg.norm(self._client_controls[u.client_id]))

@@ -27,7 +27,6 @@ import numpy as np
 
 from ..fl.state import ClientUpdate, ServerState
 from ..fl.timing import ComputeProfile
-from ..introspect import get_introspector
 from ..telemetry import get_telemetry
 from .base import GradFn, Strategy
 
@@ -116,9 +115,9 @@ class STEM(Strategy):
     def aggregate(self, state: ServerState, updates: Sequence[ClientUpdate]) -> np.ndarray:
         if not updates:
             raise ValueError("cannot aggregate zero updates")
-        introspector = get_introspector()
-        if introspector.enabled:
-            introspector.per_client(
+        telemetry = get_telemetry()
+        if telemetry.enabled:
+            telemetry.per_client(
                 "stem.momentum_norm",
                 {
                     u.client_id: float(np.linalg.norm(u.extras["final_momentum"]))

@@ -32,7 +32,6 @@ import numpy as np
 
 from ..fl.state import ClientUpdate, ServerState, cosine_similarity
 from ..fl.timing import ComputeProfile
-from ..introspect import get_introspector
 from ..telemetry import get_telemetry
 from .base import GradFn, Strategy
 
@@ -200,26 +199,21 @@ class TACO(Strategy):
         self.last_alphas = dict(self._alphas)
         telemetry = get_telemetry()
         if telemetry.enabled:
-            for client_id, alpha in self._alphas.items():
-                telemetry.gauge("taco.alpha", client=client_id).set(alpha)
-            telemetry.gauge("taco.mean_alpha").set(self.mean_alpha())
-        introspector = get_introspector()
-        if introspector.enabled:
             # Eq. 7's two ingredients per client: correction-vector norms
             # and drift cosines against the round's mean update.
             mean_delta = np.zeros_like(updates[0].delta)
             for update in updates:
                 mean_delta += update.delta / len(updates)
-            introspector.per_client("taco.alpha", self._alphas)
-            introspector.per_client(
+            telemetry.per_client("taco.alpha", self._alphas)
+            telemetry.per_client(
                 "taco.update_norm",
                 {u.client_id: float(np.linalg.norm(u.delta)) for u in updates},
             )
-            introspector.per_client(
+            telemetry.per_client(
                 "taco.drift_cosine",
                 {u.client_id: cosine_similarity(u.delta, mean_delta) for u in updates},
             )
-            introspector.scalar("taco.mean_alpha", self.mean_alpha())
+            telemetry.scalar("taco.mean_alpha", self.mean_alpha())
 
         if self.use_tailored_aggregation:
             weights = [self._alphas[u.client_id] for u in updates]
@@ -247,7 +241,6 @@ class TACO(Strategy):
             # benign clients.  (The paper's T >= 50 makes round 0 negligible
             # against lambda = T/5; at reduced scale it must be excluded.)
             return
-        telemetry = get_telemetry()
         threshold_hits = 0
         expelled_now = 0
         for update in updates:
@@ -255,20 +248,18 @@ class TACO(Strategy):
                 threshold_hits += 1
                 strikes = self._strikes.get(update.client_id, 0) + 1
                 self._strikes[update.client_id] = strikes
-                telemetry.counter("taco.strikes").add(1)
                 if strikes >= self.expulsion_limit:
                     self._expelled.add(update.client_id)
                     expelled_now += 1
-                    telemetry.counter("taco.expelled").add(1)
-        introspector = get_introspector()
-        if introspector.enabled:
+        telemetry = get_telemetry()
+        if telemetry.enabled:
             # Eq. 10's freeloader scoreboard: how many alphas crossed kappa
             # this round, the accumulated strike counts, and expulsions.
-            introspector.scalar("taco.threshold_hits", float(threshold_hits))
-            introspector.scalar("taco.expelled_this_round", float(expelled_now))
-            introspector.scalar("taco.expelled_total", float(len(self._expelled)))
+            telemetry.scalar("taco.threshold_hits", float(threshold_hits))
+            telemetry.scalar("taco.expelled_this_round", float(expelled_now))
+            telemetry.scalar("taco.expelled_total", float(len(self._expelled)))
             if self._strikes:
-                introspector.per_client(
+                telemetry.per_client(
                     "taco.strikes", {cid: float(n) for cid, n in self._strikes.items()}
                 )
 

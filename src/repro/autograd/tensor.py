@@ -15,7 +15,6 @@ reverse topological order accumulating gradients into ``.grad``.
 from __future__ import annotations
 
 import contextlib
-from time import perf_counter as _perf_counter
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -58,13 +57,6 @@ def default_dtype(dtype):
         yield
     finally:
         set_default_dtype(previous)
-
-#: Profiling taps (see :mod:`repro.telemetry.profiler`).  ``None`` keeps the
-#: hot path to a single global load + branch; when installed, the creation
-#: hook tags tensors with the layer that made them and the backward hook
-#: receives per-node backward timings.
-_TENSOR_CREATED_HOOK: Optional[Callable[["Tensor"], None]] = None
-_BACKWARD_OP_HOOK: Optional[Callable[["Tensor", float], None]] = None
 
 
 @contextlib.contextmanager
@@ -121,23 +113,19 @@ class Tensor:
         :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
     def __init__(
         self,
         data: ArrayLike,
         requires_grad: bool = False,
         _parents: Tuple["Tensor", ...] = (),
-        name: str = "",
     ) -> None:
         self.data = _as_array(data)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: Tuple[Tensor, ...] = _parents if self.requires_grad else ()
-        self.name = name
-        if _TENSOR_CREATED_HOOK is not None:
-            _TENSOR_CREATED_HOOK(self)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -175,10 +163,6 @@ class Tensor:
     def numpy(self) -> np.ndarray:
         """Return the underlying array (shared, not copied)."""
         return self.data
-
-    def detach(self) -> "Tensor":
-        """Return a tensor sharing data but cut off from the graph."""
-        return Tensor(self.data, requires_grad=False)
 
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy(), requires_grad=False)
@@ -247,7 +231,6 @@ class Tensor:
                     stack.append((parent, False))
 
         grads: dict[Tensor, np.ndarray] = {self: grad}
-        op_hook = _BACKWARD_OP_HOOK  # read once; cannot change mid-backward
         for node in reversed(topo):
             node_grad = grads.pop(node, None)
             if node_grad is None:
@@ -255,16 +238,16 @@ class Tensor:
             if not node._parents:
                 node._accumulate(node_grad)
             if node._backward is not None:
-                if op_hook is None:
-                    node._backward_dispatch(node, node_grad, grads)
-                else:
-                    started = _perf_counter()
-                    node._backward_dispatch(node, node_grad, grads)
-                    op_hook(node, _perf_counter() - started)
+                node._backward_dispatch(node, node_grad, grads)
 
     @staticmethod
     def _backward_dispatch(node: "Tensor", node_grad: np.ndarray, grads: dict) -> None:
-        """Invoke the node's backward closure, routing into the grads dict."""
+        """Invoke the node's backward closure, routing into the grads dict.
+
+        Kept out of line so each node's contribution tuple is freed once it
+        is routed; a local of :meth:`backward`'s loop would stay alive
+        through the next node's backward and raise peak memory.
+        """
         contributions = node._backward(node_grad)
         for parent, contribution in zip(node._parents, contributions):
             if contribution is None or not parent.requires_grad:
@@ -407,24 +390,6 @@ class Tensor:
     def relu(self) -> "Tensor":
         mask = self.data > 0
         data = self.data * mask
-
-        def backward(g: np.ndarray):
-            return (g * mask,)
-
-        return self._make_result(data, (self,), backward)
-
-    def abs(self) -> "Tensor":
-        data = np.abs(self.data)
-        sign = np.sign(self.data)
-
-        def backward(g: np.ndarray):
-            return (g * sign,)
-
-        return self._make_result(data, (self,), backward)
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        data = np.clip(self.data, low, high)
-        mask = (self.data >= low) & (self.data <= high)
 
         def backward(g: np.ndarray):
             return (g * mask,)

@@ -43,9 +43,8 @@ from .experiments import (
 from .faults import CORRUPTION_MODES, FaultPlan
 from .fl.degradation import DegradationPolicy
 from .guard import GuardPolicy
-from .introspect import introspection_session
 from .runrecord import RunRecordError, recording_session
-from .telemetry import OpProfiler, make_exporter, telemetry_session
+from .telemetry import make_exporter, telemetry_session
 
 
 def _rate(text: str) -> float:
@@ -141,14 +140,10 @@ def _add_guard_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("telemetry / profiling")
+    group = parser.add_argument_group("telemetry")
     group.add_argument(
         "--telemetry", action="append", default=None, metavar="SPEC",
         help="exporter spec (repeatable): jsonl:PATH, prom:PATH or console",
-    )
-    group.add_argument(
-        "--profile-ops", action="store_true",
-        help="attribute forward/backward wall time to layer types",
     )
     group.add_argument(
         "--track-traffic", action="store_true",
@@ -157,7 +152,7 @@ def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--introspect", action="store_true",
         help="collect per-round algorithm diagnostics (alpha_i, drift "
-        "cosines, live Y_t) into the run record",
+        "cosines, live Y_t) into the run record; --telemetry does too",
     )
     group.add_argument(
         "--record-dir", default=None, metavar="DIR",
@@ -285,15 +280,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         from .comm import NoCompression, Transport
 
         transport = Transport(NoCompression(), seed=config.seed)
-    profiler = OpProfiler() if args.profile_ops else None
     try:
         with contextlib.ExitStack() as stack:
-            if exporters:
+            if exporters or args.introspect:
                 stack.enter_context(telemetry_session(exporters))
-            if profiler is not None:
-                stack.enter_context(profiler)
-            if args.introspect:
-                stack.enter_context(introspection_session())
             if args.record_dir:
                 stack.enter_context(recording_session(args.record_dir))
             result = run_algorithm(
@@ -313,8 +303,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if profiler is not None:
-        print(profiler.render(), file=sys.stderr)
     target = target_for(config)
     fault_summary = result.history.fault_summary()
     if args.json:
@@ -648,7 +636,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         return 2
     with contextlib.ExitStack() as stack:
         if getattr(args, "introspect", False):
-            stack.enter_context(introspection_session())
+            stack.enter_context(telemetry_session())
         if getattr(args, "record_dir", None):
             stack.enter_context(recording_session(args.record_dir))
         try:
@@ -673,7 +661,10 @@ def _dispatch_experiment(module, args: argparse.Namespace) -> int:
         config = default_config_for(args.datasets[0]) if args.datasets else None
         result = module.run_chaos(config)
     elif args.name == "table9":
-        config = default_config_for(args.datasets[0]) if args.datasets else None
+        # Table IX keeps its own small base; --datasets swaps only the data.
+        config = None
+        if args.datasets:
+            config = module.default_spec().base.with_overrides(dataset=args.datasets[0])
         result = module.run(config)
     elif args.name in ("table2", "table8"):
         config = default_config_for(args.datasets[0] if args.datasets else "fmnist").with_overrides(

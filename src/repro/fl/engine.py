@@ -5,8 +5,8 @@ start fresh or resume bit-exact from a checkpoint, close rounds until the
 server reaches the requested version, stop on divergence, checkpoint on a
 cadence, then report final and output metrics.  Every closed round passes
 the same quarantine/quorum gate, aggregates, follows the same evaluation
-cadence, and publishes the same :class:`RoundRecord`, telemetry and
-introspection.
+cadence, and publishes the same :class:`RoundRecord` and telemetry,
+algorithm diagnostics included.
 
 :class:`RoundEngine` owns that lifecycle once.  Its subclasses differ only
 in how a round's updates arrive:
@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..introspect import get_introspector, live_theory_scalars
+from ..introspect import live_theory_scalars
 from ..telemetry import get_telemetry
 from .degradation import DegradationPolicy, validate_updates
 from .history import RoundRecord, TrainingHistory
@@ -50,8 +50,8 @@ class SimulationResult:
     output_accuracy: float
     diverged: bool
     elapsed_seconds: float = 0.0  # measured wall-clock for the whole run
-    #: Per-round AlgoDiagnostics collected by repro.introspect (empty when
-    #: introspection was disabled for the run).
+    #: Per-round AlgoDiagnostics collected by the telemetry hub (empty when
+    #: telemetry was disabled for the run).
     diagnostics: list = field(default_factory=list)
 
 
@@ -117,17 +117,21 @@ class RoundEngine:
         """Reset run state for a run that does not resume a checkpoint.
 
         Back-to-back runs in one process each start from an empty trace,
-        metric registry and introspection log instead of accumulating the
+        metric registry and diagnostics log instead of accumulating the
         previous run's (already-streamed exporter output is untouched).
         """
         self.strategy.reset()
         get_telemetry().reset()
-        get_introspector().reset()
 
     def _diverged(self, record: RoundRecord) -> bool:
         return not np.isfinite(record.test_loss) or not np.isfinite(
             self.server.state.global_params
         ).all()
+
+    def _all_expelled(self) -> bool:
+        """Eq. 10 has expelled every client, so no further round can train."""
+        expelled = self.strategy.expelled
+        return bool(expelled) and len(expelled) >= self.server.state.num_clients
 
     def serving_summary(self) -> Optional[dict]:
         """Delivery-trace summary for the runrecord; None without tracing."""
@@ -150,7 +154,8 @@ class RoundEngine:
 
         ``save``/``load`` write and read the engine's checkpoint; a resumed
         run, like a repeated ``run`` call, continues bit-exact with the
-        uninterrupted one.
+        uninterrupted one.  A run whose strategy has expelled every client
+        ends early, undiverged, with the rounds closed so far.
         """
         if rounds <= 0:
             raise ValueError(f"rounds must be positive, got {rounds}")
@@ -173,7 +178,7 @@ class RoundEngine:
 
         run_started = time.perf_counter()
         diverged = False
-        while self.server.state.round < rounds:
+        while self.server.state.round < rounds and not self._all_expelled():
             record = self._step()
             if record is None:
                 continue
@@ -218,7 +223,6 @@ class RoundEngine:
             self._evaluate(output_params)[0] if np.isfinite(output_params).all() else 0.0
         )
         self.model.load_vector(final_params)
-        introspector = get_introspector()
         return SimulationResult(
             history=self.history,
             final_params=final_params,
@@ -227,16 +231,16 @@ class RoundEngine:
             output_accuracy=output_accuracy,
             diverged=diverged,
             elapsed_seconds=time.perf_counter() - run_started,
-            diagnostics=list(introspector.records) if introspector.enabled else [],
+            diagnostics=list(get_telemetry().diagnostics),
         )
 
     # ------------------------------------------------------------------
     # One round
     # ------------------------------------------------------------------
     def _begin_round(self, round_index: int) -> None:
-        introspector = get_introspector()
-        if introspector.enabled:
-            introspector.begin_round(
+        telemetry = get_telemetry()
+        if telemetry.enabled:
+            telemetry.begin_round(
                 round_index, getattr(self.strategy, "name", type(self.strategy).__name__)
             )
 
@@ -325,36 +329,32 @@ class RoundEngine:
         if telemetry.enabled:
             telemetry.gauge("round.test_accuracy").set(record.test_accuracy)
             telemetry.gauge("round.test_loss").set(record.test_loss)
-
-        introspector = get_introspector()
-        if introspector.enabled:
-            self._publish_diagnostics(introspector, record, updates)
-            introspector.end_round()
+            self._publish_diagnostics(telemetry, record, updates)
+            telemetry.end_round()
         return record
 
-    def _publish_diagnostics(self, introspector, record, updates) -> None:
+    def _publish_diagnostics(self, telemetry, record, updates) -> None:
         """Publish server-side diagnostics (and the live theory proxies).
 
-        Runs only when introspection is enabled, so the default path does no
+        Runs only when telemetry is enabled, so the default path does no
         extra arithmetic.  The theory proxies need a coefficient assignment,
         so they are published only for strategies exposing ``last_alphas``
         (TACO and its Fig. 6 hybrids).
         """
-        introspector.scalar("server.test_accuracy", record.test_accuracy)
-        introspector.scalar("server.test_loss", record.test_loss)
-        introspector.scalar("server.aggregated", float(record.aggregated))
-        introspector.per_client("server.update_norm", dict(record.update_norms))
+        telemetry.scalar("server.test_accuracy", record.test_accuracy)
+        telemetry.scalar("server.test_loss", record.test_loss)
+        telemetry.scalar("server.aggregated", float(record.aggregated))
+        telemetry.per_client("server.update_norm", dict(record.update_norms))
         if record.skipped:
             return
         delta = self.server.state.global_delta
         if delta is not None:
-            introspector.scalar("server.global_delta_norm", float(np.linalg.norm(delta)))
+            telemetry.scalar("server.global_delta_norm", float(np.linalg.norm(delta)))
         if record.alphas and updates:
             for name, value in live_theory_scalars(
                 record.alphas,
                 updates,
                 local_steps=self.strategy.local_steps,
                 local_lr=self.strategy.local_lr,
-                smoothness=getattr(introspector, "smoothness", 1.0),
             ).items():
-                introspector.scalar(name, value)
+                telemetry.scalar(name, value)

@@ -1,41 +1,15 @@
-"""Algorithm introspection: typed per-round diagnostics behind a no-op default.
+"""Live Theorem-1 / Corollary-2 proxies for the per-round diagnostics.
 
-Where :mod:`repro.telemetry` observes the *system* (spans, bytes, wall
-time), this package observes the *algorithm*: TACO's per-client alpha_i,
-correction-vector norms and drift cosines, freeloader strikes and
-expulsions, Scaffold control-variate norms, STEM momentum norms, and live
-Theorem-1 / Corollary-2 proxies (``theory.y_t``,
-``theory.corollary2_gap``) computed server-side each round.
-
-The collection contract mirrors the telemetry hub exactly: strategies call
-:func:`get_introspector` and publish behind an ``enabled`` guard, the
-default :data:`NOOP_INTROSPECTOR` discards everything at one call + branch
-per site, and enabling collection never perturbs training numerics (the
-bit-identity is enforced by ``tests/integration/test_introspection_equivalence.py``).
-
-Collected :class:`AlgoDiagnostics` records flow into ``runrecord.json``
-(see :mod:`repro.runrecord`) and, when telemetry is also live, into the
-telemetry event stream as ``algo.diagnostics`` events.
+Algorithm diagnostics (TACO's per-client alpha_i, correction-vector norms
+and drift cosines, freeloader strikes and expulsions, Scaffold control
+norms, STEM momentum norms) are published into the telemetry hub's round
+window (:mod:`repro.telemetry`).  This package holds the one server-side
+computation behind them that needs the theory layer:
+:func:`live_theory_scalars`, which the round engine publishes as
+``theory.y_t``, ``theory.corollary2_gap`` and ``theory.mean_drift_ratio``
+each round while telemetry is enabled.
 """
 
-from .collector import (
-    NOOP_INTROSPECTOR,
-    Introspector,
-    NoopIntrospector,
-    get_introspector,
-    introspection_session,
-    set_introspector,
-)
-from .diagnostics import AlgoDiagnostics
 from .live_theory import live_theory_scalars
 
-__all__ = [
-    "AlgoDiagnostics",
-    "Introspector",
-    "NoopIntrospector",
-    "NOOP_INTROSPECTOR",
-    "get_introspector",
-    "set_introspector",
-    "introspection_session",
-    "live_theory_scalars",
-]
+__all__ = ["live_theory_scalars"]

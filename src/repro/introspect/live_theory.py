@@ -11,8 +11,10 @@ The proxy preserves exactly what the paper's analysis cares about: how the
 *distribution* of the applied corrections (1 - alpha_i) relates to the
 distribution of client drift, and therefore how Y_t and the Corollary-2
 gap move round over round.  Absolute magnitudes inherit the proxy's bias
-and the assumed smoothness constant, so they are comparable across rounds
-and across runs of the same config, not against the paper's axes.
+and the assumed Assumption-1 smoothness constant L = 1 (which scales Y_t
+without changing its round-over-round shape), so they are comparable
+across rounds and across runs of the same config, not against the paper's
+axes.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ def live_theory_scalars(
     updates: Sequence[ClientUpdate],
     local_steps: int,
     local_lr: float,
-    smoothness: float = 1.0,
 ) -> Dict[str, float]:
     """Per-round ``theory.*`` scalars from one round's alphas and uploads.
 
@@ -68,7 +69,7 @@ def live_theory_scalars(
         scalars["theory.y_t"] = overcorrection_term(
             round_alphas,
             heterogeneity,
-            smoothness=smoothness,
+            smoothness=1.0,
             gradient_bound=gradient_bound,
             local_steps=local_steps,
             local_lr=local_lr,

@@ -18,12 +18,6 @@ import numpy as np
 from ..autograd import Tensor
 from .arena import FlatParameterArena
 
-#: Profiling tap (see :mod:`repro.telemetry.profiler`).  When installed it
-#: replaces the plain ``forward`` dispatch in :meth:`Module.__call__` so
-#: per-layer forward time can be attributed; ``None`` costs one global load
-#: and a branch per call.
-_FORWARD_CALL_HOOK = None
-
 #: Bumped whenever any module registers a Parameter or a child Module.  A
 #: module's cached parameter list is valid while this has not moved since
 #: the list was built, so registering on a child invalidates its ancestors
@@ -217,9 +211,7 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, *args, **kwargs):
-        if _FORWARD_CALL_HOOK is None:
-            return self.forward(*args, **kwargs)
-        return _FORWARD_CALL_HOOK(self, args, kwargs)
+        return self.forward(*args, **kwargs)
 
 
 class Sequential(Module):

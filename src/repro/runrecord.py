@@ -2,7 +2,7 @@
 
 Every simulation can persist a self-describing JSON artifact holding the
 config, platform, per-round history, per-round algorithm diagnostics
-(:mod:`repro.introspect`), final metrics, traffic/fault/guard totals and
+(collected by :mod:`repro.telemetry` while it is enabled), final metrics, traffic/fault/guard totals and
 timing.  The schema is versioned (:data:`SCHEMA_VERSION`) and validated on
 load, so ``repro report`` / ``repro diff`` can refuse records they do not
 understand instead of mis-rendering them.

@@ -1,4 +1,4 @@
-"""Telemetry for the FL stack: tracing, metrics, exporters, profiling.
+"""Telemetry for the FL stack: tracing, metrics, algorithm diagnostics.
 
 The subsystem has four parts (see ``docs/OBSERVABILITY.md``):
 
@@ -6,18 +6,22 @@ The subsystem has four parts (see ``docs/OBSERVABILITY.md``):
   ``aggregate``) recorded by a :class:`Tracer` against an injectable clock;
 - **metrics** — a :class:`MetricRegistry` of counters, gauges and
   histograms (``round.wall_seconds``, ``transport.uplink_bytes``,
-  ``taco.alpha`` per client, ...);
+  ``agg.expelled``, ...);
+- **diagnostics** — one :class:`AlgoDiagnostics` per round holding what
+  the algorithm decided (TACO's alpha_i and strikes, Scaffold's control
+  norms, the live Y_t proxy), kept for the run record and streamed as an
+  ``algo.diagnostics`` event;
 - **exporters** — JSONL event stream, Prometheus text dump and a console
-  summary, selected with ``repro run ... --telemetry jsonl:out/trace.jsonl``;
-- **profiler** — an op-level autograd tap attributing forward/backward time
-  to layer types, for cross-checking the simulated ``CostModel``.
+  summary, selected with ``repro run ... --telemetry jsonl:out/trace.jsonl``.
 
-Instrumented code calls :func:`get_telemetry`; the default is a shared
-no-op whose cost is one call + branch per site, keeping tier-1 numerics
-bit-identical when telemetry is off.
+Instrumented code calls :func:`get_telemetry`, the program's one
+observation global; the default is a shared no-op whose cost is one call +
+branch per site, keeping tier-1 numerics bit-identical when telemetry is
+off.
 """
 
 from .clock import FakeClock, MonotonicClock
+from .diagnostics import AlgoDiagnostics
 from .exporters import (
     ConsoleExporter,
     Exporter,
@@ -39,7 +43,6 @@ from .hub import (
     telemetry_session,
 )
 from .metrics import Counter, Gauge, Histogram, MetricRegistry, registry_from_snapshot
-from .profiler import LayerStats, OpProfiler
 from .spans import SpanRecord, Tracer
 
 __all__ = [
@@ -68,6 +71,5 @@ __all__ = [
     "get_telemetry",
     "set_telemetry",
     "telemetry_session",
-    "OpProfiler",
-    "LayerStats",
+    "AlgoDiagnostics",
 ]

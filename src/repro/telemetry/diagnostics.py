@@ -1,7 +1,8 @@
 """The typed per-round diagnostics record strategies publish into.
 
-One :class:`AlgoDiagnostics` is produced per communication round.  It holds
-two channels:
+One :class:`AlgoDiagnostics` is produced per communication round, inside
+the telemetry hub's round window (:meth:`repro.telemetry.Telemetry.begin_round`
+to :meth:`~repro.telemetry.Telemetry.end_round`).  It holds two channels:
 
 - ``scalars`` — one float per name (``taco.mean_alpha``, ``theory.y_t``,
   ``scaffold.server_control_norm``, ...);
@@ -9,9 +10,10 @@ two channels:
   (``taco.alpha``, ``taco.drift_cosine``, ``stem.momentum_norm``, ...).
 
 The record is plain data: JSON-safe via :meth:`AlgoDiagnostics.to_dict`
-(client ids become string keys, as JSON requires) and reconstructable via
-:meth:`AlgoDiagnostics.from_dict`, which is what the run-record loader
-uses.  The diagnostic-name catalogue lives in ``docs/OBSERVABILITY.md``.
+(client ids become string keys, as JSON requires; the run record and the
+``algo.diagnostics`` event both carry this form) and reconstructable from
+it via :meth:`AlgoDiagnostics.from_dict`.  ``docs/OBSERVABILITY.md``
+describes what each strategy publishes.
 """
 
 from __future__ import annotations

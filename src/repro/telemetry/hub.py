@@ -1,35 +1,51 @@
-"""The telemetry hub: one facade over tracer + registry + exporters.
+"""The telemetry hub: the program's one observation global.
 
-The FL hot paths (simulation, client, transport, fault injector,
-strategies) call :func:`get_telemetry` and record against whatever is
-installed.  By default that is :data:`NOOP` — an implementation whose span
-context manager and instruments are shared do-nothing singletons, so the
+One facade over a tracer, a metric registry, exporters and a per-round
+diagnostics window.  The FL hot paths (simulation, client, transport,
+fault injector, strategies) call :func:`get_telemetry` and record against
+whatever is installed.  By default that is :data:`NOOP` — an
+implementation whose span context manager and instruments are shared
+do-nothing singletons and whose round window discards everything, so the
 disabled cost is one function call and a branch per site and training
 numerics stay bit-identical (telemetry never touches RNG streams or model
 math).
+
+The round window is what the algorithm publishes into: the round engine
+opens it with :meth:`Telemetry.begin_round`, strategies add
+:meth:`~Telemetry.scalar` and :meth:`~Telemetry.per_client` values (TACO's
+alpha_i, its strikes, Scaffold's control norms, ...), and
+:meth:`~Telemetry.end_round` keeps the finished :class:`AlgoDiagnostics`
+in :attr:`Telemetry.diagnostics` and streams it as one
+``algo.diagnostics`` event.  Publishes outside an open round are dropped,
+so strategy methods called standalone (the theory experiments do) stay
+safe.
 
 Enable telemetry for a scope with :func:`telemetry_session`::
 
     from repro.telemetry import telemetry_session, JsonlExporter
 
     with telemetry_session([JsonlExporter("out/trace.jsonl")]) as telemetry:
-        simulation.run(rounds=10)
+        result = simulation.run(rounds=10)
+    for diag in telemetry.diagnostics:   # also result.diagnostics
+        print(diag.round, diag.scalars.get("taco.mean_alpha"))
 
-or install permanently with :func:`set_telemetry`.
+or install permanently with :func:`set_telemetry`.  A session with no
+exporter (``repro run --introspect``) only collects.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Dict, Iterable, Iterator, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
+from .diagnostics import AlgoDiagnostics
 from .exporters import Exporter
 from .metrics import Counter, Gauge, Histogram, MetricRegistry
 from .spans import SpanRecord, Tracer
 
 
 class Telemetry:
-    """Live telemetry: a tracer, a metric registry, and exporters.
+    """Live telemetry: a tracer, a metric registry, exporters, diagnostics.
 
     Parameters
     ----------
@@ -46,6 +62,9 @@ class Telemetry:
         self.registry = MetricRegistry()
         self.tracer = Tracer(clock=clock, on_finish=self._span_finished)
         self.exporters = list(exporters)
+        #: One AlgoDiagnostics per closed round since the last reset.
+        self.diagnostics: List[AlgoDiagnostics] = []
+        self._round: Optional[AlgoDiagnostics] = None
 
     # ------------------------------------------------------------------
     # Recording API (mirrored by NoopTelemetry)
@@ -71,17 +90,44 @@ class Telemetry:
         self._emit({"type": "event", "name": name, "fields": fields})
 
     # ------------------------------------------------------------------
+    # Round window (opened and closed by the round engine)
+    # ------------------------------------------------------------------
+    def begin_round(self, round_index: int, algorithm: str) -> None:
+        """Open the diagnostics window for one communication round."""
+        self._round = AlgoDiagnostics(round=round_index, algorithm=algorithm)
+
+    def scalar(self, name: str, value: float) -> None:
+        """Publish one scalar into the open round (dropped when none is open)."""
+        if self._round is not None:
+            self._round.merge_scalar(name, value)
+
+    def per_client(self, name: str, values: Dict[int, float]) -> None:
+        """Publish per-client values into the open round."""
+        if self._round is not None:
+            self._round.merge_per_client(name, values)
+
+    def end_round(self) -> None:
+        """Close the window: keep the record and stream it as an event."""
+        record, self._round = self._round, None
+        if record is None:
+            return
+        self.diagnostics.append(record)
+        self.event("algo.diagnostics", **record.to_dict())
+
+    # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Clear the tracer and registry (see satellite on stale state).
+        """Clear the tracer, the registry and the diagnostics.
 
         Exporter output already streamed (e.g. JSONL lines) is untouched —
         a trace file legitimately spans several runs; the in-memory state
-        that terminal dumps are built from starts fresh.
+        that terminal dumps and run records are built from starts fresh.
         """
         self.tracer.reset()
         self.registry.reset()
+        self.diagnostics = []
+        self._round = None
 
     def flush(self) -> None:
         """Push the registry snapshot to every exporter."""
@@ -138,11 +184,14 @@ class NoopTelemetry:
     """Disabled telemetry: every call returns a shared inert object.
 
     Hot paths that would *compute* something purely for telemetry (a vector
-    norm, a sum) should guard on :attr:`enabled` so the disabled path does
-    no work at all.
+    norm, a cosine) should guard on :attr:`enabled` so the disabled path
+    does no work at all.
     """
 
     enabled = False
+
+    #: Always empty, so readers need no branching.
+    diagnostics: tuple = ()
 
     def span(self, name: str, **attributes: Any) -> _NoopSpan:
         """A shared no-op context manager."""
@@ -162,6 +211,18 @@ class NoopTelemetry:
 
     def event(self, name: str, **fields: Any) -> None:
         """Discard the event."""
+
+    def begin_round(self, round_index: int, algorithm: str) -> None:
+        """Discard the round open."""
+
+    def scalar(self, name: str, value: float) -> None:
+        """Discard the scalar."""
+
+    def per_client(self, name: str, values: Dict[int, float]) -> None:
+        """Discard the values."""
+
+    def end_round(self) -> None:
+        """Discard the round close."""
 
     def reset(self) -> None:
         """Nothing to clear."""

@@ -18,12 +18,6 @@ class TestUtilities:
         c.data[0] = 99.0
         assert t.data[0] == 1.0
 
-    def test_detach_shares_memory(self):
-        t = Tensor([1.0, 2.0], requires_grad=True)
-        d = t.detach()
-        d.data[0] = 7.0
-        assert t.data[0] == 7.0  # view semantics, like torch
-
     def test_numpy_returns_backing_array(self):
         t = Tensor([1.0])
         assert t.numpy() is t.data
@@ -39,10 +33,6 @@ class TestUtilities:
         np.testing.assert_allclose(out.data, [2.0, 3.0])
         out.sum().backward()
         np.testing.assert_allclose(t.grad, [0.25, 1.0 / 6.0])
-
-    def test_name_attribute(self):
-        t = Tensor([1.0], name="weights")
-        assert t.name == "weights"
 
 
 class TestGradCheckUtility:

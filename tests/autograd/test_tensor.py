@@ -33,11 +33,6 @@ class TestConstruction:
     def test_item_scalar(self):
         assert Tensor(5.0).item() == 5.0
 
-    def test_detach_cuts_graph(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        b = (a * 2).detach()
-        assert not b.requires_grad
-
     def test_len_and_size(self):
         t = Tensor(np.zeros((4, 5)))
         assert len(t) == 4
@@ -175,7 +170,7 @@ class TestGradChecks:
     def test_exp_log(self, pair):
         a, b = pair
         assert check_gradients(
-            lambda a, b: (a.exp() + (b.abs() + 0.5).log()).sum(), [a, b]
+            lambda a, b: (a.exp() + (b * b + 0.5).log()).sum(), [a, b]
         )
 
     def test_tanh_sigmoid_relu(self, pair):
@@ -183,10 +178,6 @@ class TestGradChecks:
         assert check_gradients(
             lambda a, b: (a.tanh() + 1.0 / (1.0 + (-a).exp()) + b.relu()).sum(), [a, b]
         )
-
-    def test_abs_clip(self, pair):
-        a, b = pair
-        assert check_gradients(lambda a, b: (a.abs() + b.clip(1.5, 3.0)).sum(), [a, b])
 
     def test_sum_axis_keepdims(self, pair):
         a, _ = pair

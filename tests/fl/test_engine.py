@@ -16,7 +16,6 @@ from repro.federation import AsyncCoordinator, ClientRegistry
 from repro.fl import checkpoint
 from repro.fl.sampling import FullParticipation
 from repro.fl.simulation import FederatedSimulation
-from repro.introspect import introspection_session
 from repro.runrecord import build_run_record
 from repro.telemetry import telemetry_session
 
@@ -115,9 +114,9 @@ def test_sync_oracle_runrecords_match_with_diagnostics():
     """At B = cohort the two engines write the same runrecord, diagnostics included."""
     records = {}
     for kind in ENGINES:
-        with introspection_session():
+        with telemetry_session():
             records[kind] = record_without_timing(make_engine(kind).run(4))
-    assert records["sync"]["diagnostics"]  # introspection actually ran
+    assert records["sync"]["diagnostics"]  # diagnostics were actually collected
     assert records["async"] == records["sync"]
 
 
@@ -291,6 +290,40 @@ def test_split_run_records_expulsion_once(tmp_path, kind, via_checkpoint):
         split = first.run(4)
     assert split.final_params.tobytes() == straight.final_params.tobytes()
     assert_client_zero_expelled_once(split)
+
+
+class ExpelsEveryoneAfterTwoRounds(FedAvg):
+    """Expels the whole federation when its second round is aggregated."""
+
+    name = "expel-all"
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reset()
+
+    def reset(self):
+        self._rounds = 0
+        self._expelled = frozenset()
+
+    def post_round(self, state, updates):
+        self._rounds += 1
+        if self._rounds == 2:
+            self._expelled = frozenset(range(state.num_clients))
+
+    @property
+    def expelled(self):
+        return self._expelled
+
+
+@pytest.mark.parametrize("kind", ENGINES)
+def test_run_ends_when_every_client_is_expelled(kind):
+    """An emptied federation ends the run, undiverged, with the rounds closed so far."""
+    strategy = ExpelsEveryoneAfterTwoRounds(local_lr=0.05, local_steps=2)
+    result = make_engine(kind, strategy=strategy).run(4)
+    assert not result.diverged
+    assert [r.round for r in result.history.records] == [0, 1]
+    assert result.history.records[-1].expelled == list(range(POPULATION))
+    assert np.isfinite(result.final_params).all()
 
 
 def test_async_checkpoint_with_expelled_seen_still_resumes(tmp_path):

@@ -8,7 +8,6 @@ import pytest
 
 from repro.experiments import run_algorithm
 from repro.experiments.runner import _RESULT_CACHE, make_experiment_strategy
-from repro.introspect import introspection_session
 from repro.runrecord import (
     RunRecordError,
     SCHEMA_VERSION,
@@ -21,6 +20,7 @@ from repro.runrecord import (
     validate_run_record,
     write_run_record,
 )
+from repro.telemetry import telemetry_session
 
 
 @pytest.fixture
@@ -34,7 +34,7 @@ def fresh_cache():
 
 def _fresh_run(config, name, introspect=False):
     if introspect:
-        with introspection_session():
+        with telemetry_session():
             return run_algorithm(
                 config, name, strategy=make_experiment_strategy(config, name)
             )

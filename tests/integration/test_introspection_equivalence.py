@@ -1,10 +1,11 @@
-"""Acceptance: enabling introspection never changes training numerics.
+"""Acceptance: collecting algorithm diagnostics never changes training numerics.
 
-Two fixed-seed runs — one under ``introspection_session()``, one with the
-no-op default — must produce byte-identical final parameter vectors.  The
-collector only *reads* values the round already produced (alphas, update
-deltas); any write-back or dtype round-trip anywhere in the publish path
-would surface here as a ULP of drift.
+Two fixed-seed runs — one under an exporter-less ``telemetry_session()``
+(what ``--introspect`` installs), one with the no-op default — must
+produce byte-identical final parameter vectors.  The round window only
+*reads* values the round already produced (alphas, update deltas); any
+write-back or dtype round-trip anywhere in the publish path would surface
+here as a ULP of drift.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from repro.experiments import run_algorithm
 from repro.experiments.runner import _RESULT_CACHE, make_experiment_strategy
-from repro.introspect import introspection_session
+from repro.telemetry import telemetry_session
 
 
 @pytest.fixture
@@ -33,7 +34,7 @@ class TestIntrospectionEquivalence:
         plain = run_algorithm(
             config, algorithm, strategy=make_experiment_strategy(config, algorithm)
         )
-        with introspection_session() as introspector:
+        with telemetry_session() as telemetry:
             observed = run_algorithm(
                 config, algorithm, strategy=make_experiment_strategy(config, algorithm)
             )
@@ -43,6 +44,6 @@ class TestIntrospectionEquivalence:
             plain.history.accuracies, observed.history.accuracies
         )
         # The observed run actually collected something.
-        assert len(introspector.records) == config.rounds
-        assert observed.diagnostics == introspector.records
+        assert len(telemetry.diagnostics) == config.rounds
+        assert observed.diagnostics == telemetry.diagnostics
         assert plain.diagnostics == []

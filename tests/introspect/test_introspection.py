@@ -1,4 +1,5 @@
-"""Introspection layer: collector lifecycle, live theory proxy, strategies."""
+"""Algorithm diagnostics: the telemetry hub's round window, the live theory
+proxy, and what each strategy publishes."""
 
 from __future__ import annotations
 
@@ -8,15 +9,15 @@ import pytest
 from repro.experiments import run_algorithm
 from repro.experiments.runner import _RESULT_CACHE, make_experiment_strategy
 from repro.fl.state import ClientUpdate
-from repro.introspect import (
+from repro.introspect import live_theory_scalars
+from repro.telemetry import (
+    NOOP,
     AlgoDiagnostics,
-    Introspector,
-    NOOP_INTROSPECTOR,
-    get_introspector,
-    introspection_session,
-    live_theory_scalars,
+    InMemoryExporter,
+    Telemetry,
+    get_telemetry,
+    telemetry_session,
 )
-from repro.telemetry import InMemoryExporter, telemetry_session
 
 
 def _update(client_id: int, delta: np.ndarray) -> ClientUpdate:
@@ -31,31 +32,36 @@ def _update(client_id: int, delta: np.ndarray) -> ClientUpdate:
 
 class TestCollector:
     def test_default_is_noop(self):
-        assert get_introspector() is NOOP_INTROSPECTOR
-        assert not get_introspector().enabled
-        assert get_introspector().records == []
+        assert get_telemetry() is NOOP
+        assert not get_telemetry().enabled
+        NOOP.begin_round(0, "taco")
+        NOOP.scalar("taco.mean_alpha", 0.5)
+        NOOP.per_client("taco.alpha", {0: 0.5})
+        NOOP.end_round()
+        assert list(NOOP.diagnostics) == []
 
     def test_session_installs_and_restores(self):
-        with introspection_session() as introspector:
-            assert get_introspector() is introspector
-            assert introspector.enabled
-        assert get_introspector() is NOOP_INTROSPECTOR
+        with telemetry_session() as telemetry:
+            assert get_telemetry() is telemetry
+            assert telemetry.enabled
+            assert telemetry.exporters == []
+        assert get_telemetry() is NOOP
 
     def test_session_restores_on_error(self):
         with pytest.raises(RuntimeError):
-            with introspection_session():
+            with telemetry_session():
                 raise RuntimeError("boom")
-        assert get_introspector() is NOOP_INTROSPECTOR
+        assert get_telemetry() is NOOP
 
     def test_round_lifecycle_collects_one_record_per_round(self):
-        introspector = Introspector()
-        introspector.begin_round(0, "taco")
-        introspector.scalar("taco.mean_alpha", 0.5)
-        introspector.per_client("taco.alpha", {1: 0.4, 0: 0.6})
-        introspector.client_value("taco.strikes", 1, 2.0)
-        introspector.end_round()
-        assert len(introspector.records) == 1
-        record = introspector.records[0]
+        telemetry = Telemetry()
+        telemetry.begin_round(0, "taco")
+        telemetry.scalar("taco.mean_alpha", 0.5)
+        telemetry.per_client("taco.alpha", {1: 0.4, 0: 0.6})
+        telemetry.per_client("taco.strikes", {1: 2.0})
+        telemetry.end_round()
+        assert len(telemetry.diagnostics) == 1
+        record = telemetry.diagnostics[0]
         assert record.round == 0
         assert record.algorithm == "taco"
         assert record.scalars == {"taco.mean_alpha": 0.5}
@@ -63,44 +69,38 @@ class TestCollector:
         assert record.per_client["taco.strikes"] == {1: 2.0}
 
     def test_publishes_outside_a_round_are_dropped(self):
-        introspector = Introspector()
-        introspector.scalar("x", 1.0)
-        introspector.per_client("y", {0: 1.0})
-        introspector.client_value("z", 0, 1.0)
-        introspector.end_round()  # no open round: no-op
-        assert introspector.records == []
+        telemetry = Telemetry()
+        telemetry.scalar("x", 1.0)
+        telemetry.per_client("y", {0: 1.0})
+        telemetry.end_round()  # no open round: no-op
+        assert telemetry.diagnostics == []
 
     def test_reset_drops_records_and_open_round(self):
-        introspector = Introspector()
-        introspector.begin_round(0, "fedavg")
-        introspector.scalar("x", 1.0)
-        introspector.end_round()
-        introspector.begin_round(1, "fedavg")
-        introspector.reset()
-        assert introspector.records == []
-        introspector.scalar("x", 1.0)  # dropped: reset closed the round
-        introspector.end_round()
-        assert introspector.records == []
-
-    def test_rejects_nonpositive_smoothness(self):
-        with pytest.raises(ValueError):
-            Introspector(smoothness=0.0)
+        telemetry = Telemetry()
+        telemetry.begin_round(0, "fedavg")
+        telemetry.scalar("x", 1.0)
+        telemetry.end_round()
+        telemetry.begin_round(1, "fedavg")
+        telemetry.reset()
+        assert telemetry.diagnostics == []
+        telemetry.scalar("x", 1.0)  # dropped: reset closed the round
+        telemetry.end_round()
+        assert telemetry.diagnostics == []
 
     def test_end_round_mirrors_record_to_telemetry(self):
         exporter = InMemoryExporter()
-        with telemetry_session([exporter]):
-            introspector = Introspector()
-            introspector.begin_round(4, "taco")
-            introspector.scalar("taco.mean_alpha", 0.25)
-            introspector.per_client("taco.alpha", {0: 0.25})
-            introspector.end_round()
+        with telemetry_session([exporter]) as telemetry:
+            telemetry.begin_round(4, "taco")
+            telemetry.scalar("taco.mean_alpha", 0.25)
+            telemetry.per_client("taco.alpha", {1: 0.5, 0: 0.25})
+            telemetry.end_round()
         events = [e for e in exporter.events if e.get("name") == "algo.diagnostics"]
         assert len(events) == 1
         fields = events[0]["fields"]
         assert fields["round"] == 4
         assert fields["algorithm"] == "taco"
         assert fields["scalars"] == {"taco.mean_alpha": 0.25}
-        assert fields["per_client_channels"] == ["taco.alpha"]
+        assert fields["per_client"] == {"taco.alpha": {"0": 0.25, "1": 0.5}}
 
     def test_diagnostics_round_trip_through_dict(self):
         diag = AlgoDiagnostics(round=2, algorithm="taco")
@@ -145,18 +145,18 @@ def fresh_cache():
 
 class TestStrategiesPublish:
     def _run(self, config, name):
-        with introspection_session() as introspector:
+        with telemetry_session() as telemetry:
             result = run_algorithm(
                 config, name, strategy=make_experiment_strategy(config, name)
             )
-        return introspector, result
+        return telemetry, result
 
     def test_taco_publishes_alphas_drift_and_theory(self, tiny_config, fresh_cache):
         config = tiny_config.with_overrides(rounds=2)
-        introspector, result = self._run(config, "taco")
-        assert len(introspector.records) == config.rounds
-        assert result.diagnostics == introspector.records
-        record = introspector.records[-1]
+        telemetry, result = self._run(config, "taco")
+        assert len(telemetry.diagnostics) == config.rounds
+        assert result.diagnostics == telemetry.diagnostics
+        record = telemetry.diagnostics[-1]
         assert set(record.per_client["taco.alpha"]) <= set(range(config.num_clients))
         assert record.per_client["taco.alpha"]
         assert "taco.drift_cosine" in record.per_client
@@ -170,24 +170,31 @@ class TestStrategiesPublish:
         # Detection (Eq. 10) only runs when freeloaders are configured, and
         # round 0 is excluded — so look at the last of three rounds.
         config = tiny_config.with_overrides(rounds=3, num_freeloaders=2)
-        introspector, _ = self._run(config, "taco")
-        record = introspector.records[-1]
+        telemetry, _ = self._run(config, "taco")
+        record = telemetry.diagnostics[-1]
         assert "taco.threshold_hits" in record.scalars
         assert "taco.expelled_this_round" in record.scalars
         assert "taco.expelled_total" in record.scalars
 
     def test_scaffold_publishes_control_norms(self, tiny_config, fresh_cache):
         config = tiny_config.with_overrides(rounds=2)
-        introspector, _ = self._run(config, "scaffold")
-        record = introspector.records[-1]
+        telemetry, _ = self._run(config, "scaffold")
+        record = telemetry.diagnostics[-1]
         assert "scaffold.server_control_norm" in record.scalars
         assert "scaffold.client_control_norm" in record.per_client
 
     def test_stem_publishes_momentum_norms(self, tiny_config, fresh_cache):
         config = tiny_config.with_overrides(rounds=2)
-        introspector, _ = self._run(config, "stem")
-        record = introspector.records[-1]
+        telemetry, _ = self._run(config, "stem")
+        record = telemetry.diagnostics[-1]
         assert "stem.momentum_norm" in record.per_client
+
+    def test_fedprox_publishes_zeta_per_client(self, tiny_config, fresh_cache):
+        config = tiny_config.with_overrides(rounds=2)
+        telemetry, result = self._run(config, "fedprox")
+        record = telemetry.diagnostics[-1]
+        participants = result.history.records[-1].participating
+        assert sorted(record.per_client["fedprox.zeta"]) == sorted(participants)
 
     def test_disabled_introspection_leaves_result_diagnostics_empty(
         self, tiny_config, fresh_cache

@@ -7,8 +7,8 @@ The two acceptance criteria from the telemetry work:
    history whether or not a live telemetry session was active, and the
    no-op path emits zero events.
 2. Telemetry enabled on a faulty, transport-tracked 2-round run emits spans
-   for round/client/aggregate and counters for transport bytes and
-   quarantined updates.
+   for round/client/aggregate, counters for transport bytes and
+   quarantined updates, and one ``algo.diagnostics`` event per round.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from repro.comm import NoCompression, Transport
 from repro.experiments import run_algorithm
 from repro.experiments.runner import make_experiment_strategy
 from repro.faults import FaultPlan
+from repro.runrecord import build_run_record
 from repro.telemetry import InMemoryExporter, NOOP, get_telemetry, telemetry_session
 
 
@@ -68,7 +69,8 @@ def test_enabled_run_emits_required_spans_and_counters(tiny_config):
     fault_plan = FaultPlan(seed=config.seed, corrupt_rate=0.5, drop_rate=0.2)
     transport = Transport(NoCompression(), seed=config.seed)
 
-    with telemetry_session([InMemoryExporter()]) as telemetry:
+    exporter = InMemoryExporter()
+    with telemetry_session([exporter]) as telemetry:
         _run(config, fault_plan=fault_plan, transport=transport)
         span_names = {record.name for record in telemetry.tracer.finished}
         names = set(telemetry.registry.names())
@@ -81,13 +83,36 @@ def test_enabled_run_emits_required_spans_and_counters(tiny_config):
         "transport.uplink_bytes",
         "transport.downlink_bytes",
         "agg.quarantined",
-        "taco.alpha",
     }
     assert required <= names, f"missing metrics: {sorted(required - names)}"
+    diagnostics = [e["fields"] for e in exporter.events if e.get("name") == "algo.diagnostics"]
+    assert [fields["round"] for fields in diagnostics] == [0, 1]
+    assert all(fields["per_client"]["taco.alpha"] for fields in diagnostics)
     uplink = telemetry.registry.counter("transport.uplink_bytes")
     assert uplink.value > 0
     quarantined = telemetry.registry.counter("agg.quarantined")
     assert quarantined.value > 0  # corrupt_rate=0.5 over 2 rounds must hit
+
+
+def test_telemetry_alone_collects_round_diagnostics(tiny_config):
+    """Without --introspect, a telemetry session alone fills the diagnostics."""
+    config = tiny_config.with_overrides(rounds=2)
+    exporter = InMemoryExporter()
+    with telemetry_session([exporter]) as telemetry:
+        result = _run(config)
+        names = set(telemetry.registry.names())
+    record = build_run_record(result, algorithm="taco", config=config)
+    assert [d.round for d in result.diagnostics] == [0, 1]
+    assert [d["round"] for d in record["diagnostics"]] == [0, 1]
+
+    events = [e["fields"] for e in exporter.events if e.get("name") == "algo.diagnostics"]
+    assert [e["round"] for e in events] == [0, 1]
+    for fields, diagnostics in zip(events, result.diagnostics):
+        alphas = fields["per_client"]["taco.alpha"]
+        assert alphas == {str(c): a for c, a in diagnostics.per_client["taco.alpha"].items()}
+        assert all(0.0 <= alpha <= 1.0 for alpha in alphas.values())
+    # Each algorithm fact is published once: into the diagnostics, not as gauges.
+    assert not {"taco.alpha", "taco.mean_alpha", "taco.strikes", "taco.expelled"} & names
 
 
 def test_round_spans_nest_client_spans(tiny_config):

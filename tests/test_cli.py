@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -165,16 +166,49 @@ class TestUnsatisfiablePartition:
         [
             ["run", *DIRICHLET],
             ["compare", *DIRICHLET, "--algorithms", "fedavg"],
-            ["experiment", "table9", "--datasets", "adult"],
+            ["experiment", "table2", "--datasets", "adult"],
         ],
         ids=["run", "compare", "experiment"],
     )
-    def test_one_line_usage_error(self, argv, capsys):
+    def test_one_line_usage_error(self, argv, capsys, monkeypatch):
+        if argv[0] == "experiment":
+            # Every paper experiment's own base partitions; give table2 one
+            # that cannot, with the same settings as DIRICHLET.
+            default = cli.default_config_for
+            monkeypatch.setattr(
+                cli,
+                "default_config_for",
+                lambda name: default(name).with_overrides(
+                    partition="dirichlet", phi=0.01, num_clients=40, rounds=1
+                ),
+            )
         assert main(argv) == 2
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: Dirichlet partition with phi=")
         assert "clients min_samples_per_client=2" in lines[0]
+
+
+class TestTable9Base:
+    """``experiment table9 --datasets D`` keeps Table IX's own small base."""
+
+    @pytest.mark.parametrize("dataset", ["adult", "fmnist"])
+    def test_datasets_flag_swaps_only_the_dataset(self, dataset, monkeypatch, capsys):
+        from repro.experiments import table9_attack_matrix
+
+        specs = []
+
+        def stub_grid(spec):
+            specs.append(spec)
+            return {"spec": {"attacks": [], "defences": [], "phis": [], "algorithms": []},
+                    "cells": [], "verdicts": []}
+
+        monkeypatch.setattr(table9_attack_matrix, "run_matrix", stub_grid)
+        assert main(["experiment", "table9", "--datasets", dataset]) == 0
+        (spec,) = specs
+        default = table9_attack_matrix.default_spec()
+        assert spec.base == default.base.with_overrides(dataset=dataset)
+        assert spec.base.num_clients == 8 and spec.base.train_size == 240
 
 
 class TestScenarios:

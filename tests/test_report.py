@@ -17,7 +17,6 @@ from repro.analysis.runrecords import (
 from repro.cli import main
 from repro.experiments import run_algorithm
 from repro.experiments.runner import _RESULT_CACHE, make_experiment_strategy
-from repro.introspect import introspection_session
 from repro.report import (
     diff_records,
     has_regressions,
@@ -26,6 +25,7 @@ from repro.report import (
     render_html,
 )
 from repro.runrecord import build_run_record, load_run_record, write_run_record
+from repro.telemetry import telemetry_session
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +44,7 @@ def taco_record_path(tmp_path_factory):
         test_size=80,
         width_multiplier=0.3,
     )
-    with introspection_session():
+    with telemetry_session():
         result = run_algorithm(
             config, "taco", strategy=make_experiment_strategy(config, "taco")
         )
