@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI gate: the tier-1 test suite, one smoke run per CLI subsystem (faults,
-# telemetry, run records, scenarios, federation, chaos, serving, guard),
+# telemetry, run records, resume, scenarios, federation, chaos, serving, guard),
 # the wall-clock benchmark's self-tests, its smoke run and one smoke pair
 # of the paired A/B script, and two run-record parity checks against HEAD.
 #
@@ -77,6 +77,36 @@ python -m repro.cli report out/runs/*/runrecord.json --ascii > /dev/null
 RECORD="$(ls out/runs/*/runrecord.json | head -n 1)"
 python -m repro.cli diff "$RECORD" "$RECORD"
 
+echo "==> resume smoke (adult TACO: a resumed run writes the uninterrupted run's record)"
+RESUME_ARGS=(
+    --dataset adult --algorithm taco --clients 6 --train-size 200
+    --local-steps 3 --introspect --json
+)
+rm -rf out/resume
+python -m repro.cli run "${RESUME_ARGS[@]}" --rounds 4 \
+    --record-dir out/resume/straight > /dev/null
+python -m repro.cli run "${RESUME_ARGS[@]}" --rounds 2 \
+    --checkpoint-every 2 --checkpoint-dir out/resume/checkpoint > /dev/null
+python -m repro.cli run "${RESUME_ARGS[@]}" --rounds 4 \
+    --checkpoint-dir out/resume/checkpoint --resume \
+    --record-dir out/resume/resumed > /dev/null
+python - <<'PY'
+import json
+
+
+def without_timing(kind):
+    with open(f"out/resume/{kind}/adult-taco-s0/runrecord.json") as handle:
+        record = json.load(handle)
+    record.pop("timing")
+    return record
+
+
+straight, resumed = without_timing("straight"), without_timing("resumed")
+rounds = [d["round"] for d in resumed["diagnostics"]]
+assert resumed == straight, f"resumed record differs (diagnostics for rounds {rounds})"
+print(f"resume smoke ok: records equal without timing, diagnostics for rounds {rounds}")
+PY
+
 echo "==> scenario matrix smoke (2 attacks x 2 defences x 1 seed)"
 python -m repro.cli scenarios --smoke \
     --attacks ipm adaptive --defences none geomedian --seeds 0 \
@@ -122,19 +152,22 @@ assert any(
 print("chaos smoke ok:", chaos["loss_thresholds"])
 '
 
-echo "==> serving observability smoke (delivery tracing + Chrome trace export)"
-python -m repro.cli federate --smoke --trace-deliveries \
-    --telemetry jsonl:out/serving.jsonl --json \
-    | python -c '
-import json, sys
-out = json.load(sys.stdin)
-serving = out["serving"]
-assert serving["deliveries"] > 0, "tracing recorded no deliveries"
-assert len(serving["rounds"]) == out["rounds"], serving
-assert all(r["e2e_p99"] >= r["e2e_p50"] > 0 for r in serving["rounds"]), serving
-print("delivery tracing ok:", {"deliveries": serving["deliveries"],
-      "rounds": len(serving["rounds"])})
-'
+echo "==> serving observability smoke (telemetry traces deliveries + Chrome trace export)"
+python -m repro.cli federate --smoke --telemetry jsonl:out/serving.jsonl --json \
+    > out/serving_summary.json
+python - <<'PY'
+import json
+
+rounds = json.load(open("out/serving_summary.json"))["rounds"]
+spans = [json.loads(line) for line in open("out/serving.jsonl")]
+spans = [e for e in spans if e["type"] == "span"]
+flushes = [s["attributes"] for s in spans if s["name"] == "serving.flush"]
+deliveries = sum(s["name"] == "serving.delivery" for s in spans)
+assert deliveries, "telemetry traced no deliveries"
+assert len(flushes) == rounds, f"{len(flushes)} serving.flush spans for {rounds} rounds"
+assert all(f["e2e_p99"] >= f["e2e_p50"] > 0 for f in flushes), flushes
+print("delivery tracing ok:", {"deliveries": deliveries, "flushes": len(flushes)})
+PY
 python -m repro.cli trace export out/serving.jsonl --out out/serving_chrome.json
 python - <<'PY'
 import json

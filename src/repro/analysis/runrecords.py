@@ -107,26 +107,6 @@ def delivery_series(record: Dict[str, Any]) -> Dict[str, List[float]]:
     return series
 
 
-def serving_series(record: Dict[str, Any]) -> Dict[str, List[float]]:
-    """Per-flush serving latency series for the observability chapter.
-
-    Reads the optional top-level ``serving`` section (present only when
-    the run was made with delivery tracing) and returns
-    ``{"e2e_p50": [...], "e2e_p90": [...], "e2e_p99": [...],
-    "buffer_mean": [...]}`` — one value per flush.  Empty when the record
-    has no serving data, so renderers skip the chapter.
-    """
-    rounds = (record.get("serving") or {}).get("rounds") or []
-    if not rounds:
-        return {}
-    return {
-        "e2e_p50": [float(entry.get("e2e_p50", 0.0)) for entry in rounds],
-        "e2e_p90": [float(entry.get("e2e_p90", 0.0)) for entry in rounds],
-        "e2e_p99": [float(entry.get("e2e_p99", 0.0)) for entry in rounds],
-        "buffer_mean": [float(entry.get("buffer_mean", 0.0)) for entry in rounds],
-    }
-
-
 def flatten_final_fields(record: Dict[str, Any]) -> Dict[str, Any]:
     """Headline numbers as a flat ``section.field -> value`` mapping.
 

@@ -12,7 +12,7 @@ Examples::
     python -m repro.cli scenarios --smoke --out out/matrix.json
     python -m repro.cli scenarios --attacks ipm adaptive --defences none geomedian guard
     python -m repro.cli run --algorithm taco --introspect --record-dir out/runs
-    python -m repro.cli federate --smoke --trace-deliveries --telemetry jsonl:out/trace.jsonl
+    python -m repro.cli federate --smoke --telemetry jsonl:out/trace.jsonl
     python -m repro.cli loadtest --trace diurnal --rates 0.5 2 8 32 --out out/loadtest.json
     python -m repro.cli trace export out/trace.jsonl --out out/trace_chrome.json
     python -m repro.cli report out/runs/adult-taco-s0/runrecord.json --out out/report.html
@@ -427,7 +427,6 @@ def cmd_federate(args: argparse.Namespace) -> int:
                 checkpoint_every=args.checkpoint_every,
                 checkpoint_dir=args.checkpoint_dir,
                 resume_from=args.checkpoint_dir if args.resume else None,
-                delivery_tracing=args.trace_deliveries,
             )
     except FileNotFoundError as error:
         print(f"cannot resume: no checkpoint at {args.checkpoint_dir} ({error})", file=sys.stderr)
@@ -459,9 +458,6 @@ def cmd_federate(args: argparse.Namespace) -> int:
     deliveries = result.history.delivery_summary()
     if deliveries:
         summary["deliveries"] = deliveries
-    serving = coordinator.serving_summary()
-    if serving is not None:
-        summary["serving"] = serving
     if args.json:
         print(json.dumps(summary))
     else:
@@ -1000,15 +996,11 @@ def build_parser() -> argparse.ArgumentParser:
     net_group.add_argument(
         "--trace-bursts", type=int, default=None, help="bursts in the generated trace"
     )
-    fed_p.add_argument(
-        "--trace-deliveries", action="store_true",
-        help="record causal delivery-trace span trees (dispatch -> compute -> "
-        "network -> buffer -> flush); export with 'repro trace export'",
-    )
     fed_p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
     fed_p.add_argument(
         "--telemetry", action="append", default=None, metavar="SPEC",
-        help="exporter spec (repeatable): jsonl:PATH, prom:PATH or console",
+        help="exporter spec (repeatable): jsonl:PATH, prom:PATH or console; "
+        "traces every delivery (export with 'repro trace export')",
     )
     fed_p.add_argument(
         "--record-dir", default=None, metavar="DIR",

@@ -5,7 +5,8 @@ A :class:`ClientRegistry` holds client *identity* (descriptors derived on
 demand from a stable seed mixer) and materializes client *execution* only
 on selection, so population size never enters memory or per-round cost.
 :class:`AsyncCoordinator` runs FedBuff-style buffered aggregation over it
-on a deterministic virtual-time event loop.
+on a deterministic virtual-time event loop, and while telemetry is on it
+writes each delivery's virtual-time span tree (:mod:`.tracing`).
 """
 
 from .coordinator import AsyncCoordinator, FlushEvent, PendingUpload

@@ -50,6 +50,11 @@ bit-identical to passing ``network=None``.  The ``_delivered``/
 ``_revoked`` id sets grow with total dispatches (rounds x cohort), never
 with population, so the O(cohort) memory contract is unaffected.
 
+Delivery tracing: while telemetry is enabled, every delivery's span tree
+(queue wait, compute, network, buffer) and each flush's latency summary
+are written to the telemetry tracer at the delivery's terminal event
+(:mod:`repro.federation.tracing`); with telemetry off no span is made.
+
 Open-loop traffic (``arrival_trace=``): instead of closed-loop cohort
 top-up, replay an :class:`~repro.network.traffic.ArrivalTrace` of
 ``(time, count)`` bursts — Poisson bursts, flash crowds — dispatching
@@ -66,7 +71,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,6 +94,7 @@ from ..network.plan import NetworkPlan
 from ..network.traffic import ArrivalTrace
 from ..telemetry import get_telemetry
 from .registry import ClientRegistry
+from .tracing import OUTCOME_FLUSHED, trace_delivery, trace_flush
 
 
 @dataclass
@@ -113,7 +119,10 @@ class PendingUpload:
     attempts: int = 1  # send attempts the wire charged this delivery
     duplicate: bool = False  # an at-least-once copy, not the original
     lost: bool = False  # lease event of a retry-exhausted delivery
-    trace_key: int = -1  # serving delivery-trace handle; -1 = untraced
+    # For the delivery trace: when local work began (None = untraced, as
+    # for events restored from a checkpoint) and whether a partition held it.
+    compute_start: Optional[float] = None
+    held_by_partition: bool = False
 
 
 @dataclass
@@ -181,12 +190,6 @@ class AsyncCoordinator(RoundEngine):
     arrival_trace:
         Optional open-loop :class:`~repro.network.traffic.ArrivalTrace`
         replacing closed-loop cohort top-up while it lasts.
-    delivery_tracing:
-        When True, a :class:`~repro.serving.tracing.DeliveryTraceRecorder`
-        follows every dispatch through compute/network/buffer to its
-        terminal event (span trees + per-flush latency percentiles; see
-        ``docs/OBSERVABILITY.md``).  Off by default — the untraced event
-        loop is bit-identical and does zero extra work.
     """
 
     aggregate_span = "federation.flush"
@@ -208,7 +211,6 @@ class AsyncCoordinator(RoundEngine):
         model=None,
         network: Optional[NetworkPlan] = None,
         arrival_trace: Optional[ArrivalTrace] = None,
-        delivery_tracing: bool = False,
     ) -> None:
         if cohort_size < 1:
             raise ValueError(f"cohort_size must be >= 1, got {cohort_size}")
@@ -240,8 +242,6 @@ class AsyncCoordinator(RoundEngine):
             NetworkModel(self.network) if self.network is not None else None
         )
         self.arrival_trace = arrival_trace
-        self.delivery_tracing = bool(delivery_tracing)
-        self.delivery_recorder = None  # built in run() when tracing is on
 
         self.flush_log: List[FlushEvent] = []
 
@@ -343,28 +343,19 @@ class AsyncCoordinator(RoundEngine):
                     # this upload; the device's work is lost.
                     self._since_flush.abandoned.append(client_id)
                     telemetry.counter("federation.abandoned").add(1)
-                    if self.delivery_recorder is not None:
-                        key = self._open_trace(
-                            client_id, state.round, self._clock,
-                            update.sim_time, arrival_time=None,
-                        )
-                        self.delivery_recorder.close(
-                            key, self._clock + update.sim_time, "abandoned"
+                    if telemetry.enabled:
+                        end = self._clock + update.sim_time
+                        self._trace(
+                            telemetry, client_id, state.round, self._clock, end,
+                            arrival_time=None, end_time=end, outcome="abandoned",
                         )
                     continue
                 if self._network_model is not None:
                     enqueued += self._dispatch_networked(client_id, state.round, update)
                     continue
-                arrival_time = self._clock + update.sim_time
-                trace_key = -1
-                if self.delivery_recorder is not None:
-                    trace_key = self._open_trace(
-                        client_id, state.round, self._clock,
-                        update.sim_time, arrival_time=arrival_time,
-                    )
                 self._push_event(
-                    client_id, state.round, arrival_time, update,
-                    delivery_id=-1, trace_key=trace_key,
+                    client_id, state.round, self._clock + update.sim_time, update,
+                    delivery_id=-1, compute_start=self._clock,
                 )
                 self._pending_ids.add(client_id)
                 enqueued += 1
@@ -382,27 +373,45 @@ class AsyncCoordinator(RoundEngine):
             self._since_flush.deliveries.get(outcome, 0) + count
         )
 
-    def _open_trace(
+    def _trace(
         self,
+        telemetry,
         client_id: int,
         version: int,
         compute_start: float,
-        sim_time: float,
-        arrival_time: Optional[float],
-        attempts: int = 1,
-        held_by_partition: bool = False,
-    ) -> int:
-        """Open a serving delivery trace for one dispatch (recorder is set)."""
-        return self.delivery_recorder.open_delivery(
+        compute_end: float,
+        **terminal,
+    ) -> None:
+        """Write one delivery dispatched at the current clock to the trace."""
+        trace_delivery(
+            telemetry,
             client_id=client_id,
-            dispatch_version=version,
+            version=version,
             tier=self.registry.descriptor(client_id).speed_tier,
             dispatch_time=self._clock,
             compute_start=compute_start,
-            compute_end=compute_start + sim_time,
-            arrival_time=arrival_time,
-            attempts=attempts,
-            held_by_partition=held_by_partition,
+            compute_end=compute_end,
+            **terminal,
+        )
+
+    def _trace_pending(
+        self, telemetry, pending: PendingUpload, end_time: float, outcome: str, **extra
+    ) -> Dict[str, float]:
+        """Write the span tree of a delivery that reached the server."""
+        return trace_delivery(
+            telemetry,
+            client_id=pending.client_id,
+            version=pending.dispatch_version,
+            tier=self.registry.descriptor(pending.client_id).speed_tier,
+            dispatch_time=pending.dispatch_time,
+            compute_start=pending.compute_start,
+            compute_end=pending.compute_start + pending.update.sim_time,
+            arrival_time=pending.arrival_time,
+            end_time=end_time,
+            outcome=outcome,
+            attempts=pending.attempts,
+            held_by_partition=pending.held_by_partition,
+            **extra,
         )
 
     def _push_event(
@@ -416,7 +425,8 @@ class AsyncCoordinator(RoundEngine):
         attempts: int = 1,
         duplicate: bool = False,
         lost: bool = False,
-        trace_key: int = -1,
+        compute_start: Optional[float] = None,
+        held_by_partition: bool = False,
     ) -> None:
         pending = PendingUpload(
             client_id=client_id,
@@ -429,7 +439,8 @@ class AsyncCoordinator(RoundEngine):
             attempts=attempts,
             duplicate=duplicate,
             lost=lost,
-            trace_key=trace_key,
+            compute_start=compute_start,
+            held_by_partition=held_by_partition,
         )
         heapq.heappush(self._events, (arrival_time, self._seq, pending))
         self._seq += 1
@@ -466,12 +477,12 @@ class AsyncCoordinator(RoundEngine):
                 if plan.lease_timeout is not None
                 else outcome.give_up_time
             )
-            if self.delivery_recorder is not None:
-                key = self._open_trace(
-                    client_id, version, compute_start, update.sim_time,
-                    arrival_time=None, attempts=outcome.attempts,
+            if telemetry.enabled:
+                self._trace(
+                    telemetry, client_id, version, compute_start,
+                    compute_start + update.sim_time, arrival_time=None,
+                    end_time=learns_at, outcome="lost", attempts=outcome.attempts,
                 )
-                self.delivery_recorder.close(key, learns_at, "lost")
             self._push_event(
                 client_id, version, learns_at, None, delivery_id,
                 kind="lease", lost=True,
@@ -490,16 +501,10 @@ class AsyncCoordinator(RoundEngine):
             self._count_delivery("partition_held")
             telemetry.counter("network.partition_held").add(1)
 
-        trace_key = -1
-        if self.delivery_recorder is not None:
-            trace_key = self._open_trace(
-                client_id, version, compute_start, update.sim_time,
-                arrival_time=outcome.arrival_time, attempts=outcome.attempts,
-                held_by_partition=outcome.held_by_partition,
-            )
         self._push_event(
             client_id, version, outcome.arrival_time, update, delivery_id,
-            attempts=outcome.attempts, trace_key=trace_key,
+            attempts=outcome.attempts, compute_start=compute_start,
+            held_by_partition=outcome.held_by_partition,
         )
         if outcome.duplicate_time is not None:
             # The at-least-once copy: arrives later, is never buffered, so
@@ -557,10 +562,8 @@ class AsyncCoordinator(RoundEngine):
         if pending.delivery_id in self._revoked:
             if not pending.duplicate:
                 self._since_flush.quarantined[pending.client_id] = REASON_LATE
-                if self.delivery_recorder is not None and pending.trace_key >= 0:
-                    self.delivery_recorder.close(
-                        pending.trace_key, pending.arrival_time, "late"
-                    )
+                if telemetry.enabled and pending.compute_start is not None:
+                    self._trace_pending(telemetry, pending, pending.arrival_time, "late")
             self._count_delivery("late")
             telemetry.counter("network.late").add(1)
             return False
@@ -649,22 +652,22 @@ class AsyncCoordinator(RoundEngine):
         telemetry.counter("federation.flushes").add(1)
         telemetry.counter("federation.arrived").add(len(batch))
 
-        if self.delivery_recorder is not None:
-            outcomes = []
+        if telemetry.enabled:
+            flushed = []  # stage durations of the traced, aggregated deliveries
             for pending in batch:
-                if pending.trace_key < 0:
-                    continue
+                if pending.compute_start is None:
+                    continue  # restored from a checkpoint: untraced
                 reason = quarantined.get(pending.client_id)
-                if reason == REASON_STALE:
-                    label = "stale"
-                elif reason is not None:
-                    label = "quarantined"
+                if reason is None:
+                    label = OUTCOME_FLUSHED
                 else:
-                    label = "flushed"
-                outcomes.append((pending.trace_key, label))
-            self.delivery_recorder.record_flush(
-                round_index, self._clock, outcomes, skipped=skipped
-            )
+                    label = "stale" if reason == REASON_STALE else "quarantined"
+                stages = self._trace_pending(
+                    telemetry, pending, self._clock, label, flush_version=round_index
+                )
+                if reason is None:
+                    flushed.append(stages)
+            trace_flush(telemetry, round_index, self._clock, flushed, skipped=skipped)
 
         round_sim = self._clock - self._last_flush_clock
         self._last_flush_clock = self._clock
@@ -727,15 +730,6 @@ class AsyncCoordinator(RoundEngine):
         """
         from . import persist  # deferred; persist imports this module's types
 
-        if self.delivery_tracing and self.delivery_recorder is None:
-            # Deferred import: repro.serving's load-test harness imports
-            # this module, so binding at call time avoids the cycle.
-            from ..serving.tracing import DeliveryTraceRecorder
-
-            telemetry = get_telemetry()
-            self.delivery_recorder = DeliveryTraceRecorder(
-                tracer=telemetry.tracer if telemetry.enabled else None
-            )
         return self._run(
             rounds,
             checkpoint_every,
@@ -786,12 +780,6 @@ class AsyncCoordinator(RoundEngine):
         ):
             return self._flush()
         return None
-
-    def serving_summary(self) -> Optional[Dict[str, Any]]:
-        """Virtual-time delivery-trace summary, or None when tracing is off."""
-        if self.delivery_recorder is None:
-            return None
-        return self.delivery_recorder.summary()
 
     # ------------------------------------------------------------------
     @property

@@ -60,7 +60,8 @@ def _plan_fingerprint(plan) -> Optional[Dict[str, Any]]:
 
 
 #: PendingUpload fields stored as meta scalars; the update's arrays are
-#: stored apart, and trace handles do not survive a restart.
+#: stored apart, and the delivery-trace fields do not survive a restart
+#: (a restored delivery stays untraced).
 _EVENT_FIELDS = (
     "client_id",
     "dispatch_version",

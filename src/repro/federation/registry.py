@@ -120,6 +120,8 @@ class ClientRegistry:
             raise ValueError(f"population must be >= 1, got {population}")
         if samples_per_client < 2:
             raise ValueError(f"samples_per_client must be >= 2, got {samples_per_client}")
+        if dirichlet_phi is not None and not dirichlet_phi > 0:
+            raise ValueError(f"dirichlet_phi must be > 0 (or None for IID), got {dirichlet_phi}")
         self.population = int(population)
         self.spec = get_spec(dataset) if isinstance(dataset, str) else dataset
         self.seed = int(seed)

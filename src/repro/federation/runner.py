@@ -7,6 +7,9 @@ The ``repro federate`` CLI subcommand, the table10 scalability
 experiment, the ``async_chaos`` workload of ``bench/`` and the memory
 contract in ``tests/federation/test_coordinator.py`` all go through
 here, so a config serialised into a runrecord fully reproduces its run.
+Delivery tracing has no switch here: under an enabled telemetry session
+the coordinator writes every delivery's ``serving.*`` spans to the trace,
+and the run and its record stay the same either way.
 """
 
 from __future__ import annotations
@@ -162,17 +165,15 @@ def build_coordinator(
     *,
     network=_UNSET,
     arrival_trace=_UNSET,
-    delivery_tracing: bool = False,
 ) -> AsyncCoordinator:
     """Assemble the registry + coordinator a config describes.
 
     ``network`` / ``arrival_trace`` override the config-derived values
     when given (including an explicit ``None`` or an inert
     ``NetworkPlan.none()`` — the chaos harness uses this to check the
-    inert-plan bit-identity invariant).  ``delivery_tracing`` is a
-    run-time switch, deliberately *not* part of :class:`FederateConfig`:
-    tracing never changes the run, so it must not change the serialised
-    config (runrecords with and without tracing stay diffable).
+    inert-plan bit-identity invariant).  Delivery tracing is not a config
+    field: the coordinator traces whenever telemetry is on, and tracing
+    never changes the run or its record.
     """
     registry = ClientRegistry(
         population=config.population,
@@ -205,7 +206,6 @@ def build_coordinator(
         arrival_trace=(
             make_arrival_trace(config) if arrival_trace is _UNSET else arrival_trace
         ),
-        delivery_tracing=delivery_tracing,
     )
 
 
@@ -215,10 +215,9 @@ def run_federation(
     checkpoint_every: int = 0,
     checkpoint_dir=None,
     resume_from=None,
-    delivery_tracing: bool = False,
 ) -> Tuple[AsyncCoordinator, SimulationResult]:
     """Run one semi-async federation job end to end."""
-    coordinator = build_coordinator(config, delivery_tracing=delivery_tracing)
+    coordinator = build_coordinator(config)
     result = coordinator.run(
         config.rounds,
         record_path=None,
@@ -230,12 +229,7 @@ def run_federation(
         from ..runrecord import build_run_record, write_run_record
 
         write_run_record(
-            build_run_record(
-                result,
-                algorithm=config.algorithm,
-                config=config,
-                serving=coordinator.serving_summary(),
-            ),
+            build_run_record(result, algorithm=config.algorithm, config=config),
             record_path,
         )
     return coordinator, result

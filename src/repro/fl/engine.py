@@ -5,8 +5,9 @@ start fresh or resume bit-exact from a checkpoint, close rounds until the
 server reaches the requested version, stop on divergence, checkpoint on a
 cadence, then report final and output metrics.  Every closed round passes
 the same quarantine/quorum gate, aggregates, follows the same evaluation
-cadence, and publishes the same :class:`RoundRecord` and telemetry,
-algorithm diagnostics included.
+cadence, and publishes the same :class:`RoundRecord` and telemetry; the
+round's algorithm diagnostics ride on its record, so checkpoints, resumes
+and guard rollbacks keep them in step with the rounds.
 
 :class:`RoundEngine` owns that lifecycle once.  Its subclasses differ only
 in how a round's updates arrive:
@@ -24,14 +25,14 @@ share one on-disk core as well.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..introspect import live_theory_scalars
-from ..telemetry import get_telemetry
+from ..telemetry import AlgoDiagnostics, get_telemetry
 from .degradation import DegradationPolicy, validate_updates
 from .history import RoundRecord, TrainingHistory
 from .server import Server
@@ -50,9 +51,12 @@ class SimulationResult:
     output_accuracy: float
     diverged: bool
     elapsed_seconds: float = 0.0  # measured wall-clock for the whole run
-    #: Per-round AlgoDiagnostics collected by the telemetry hub (empty when
-    #: telemetry was disabled for the run).
-    diagnostics: list = field(default_factory=list)
+
+    @property
+    def diagnostics(self) -> List[AlgoDiagnostics]:
+        """Per-round AlgoDiagnostics, read from the history (empty for rounds
+        closed while telemetry was disabled)."""
+        return [r.diagnostics for r in self.history.records if r.diagnostics is not None]
 
 
 #: A checkpoint writer or reader: ``(engine, directory) -> ...``.
@@ -91,7 +95,9 @@ class RoundEngine:
         )
         self.cost_model = cost_model or CostModel()
         self.degradation = degradation
-        self.eval_every = max(1, eval_every)
+        if eval_every < 1:
+            raise ValueError(f"eval_every must be >= 1, got {eval_every}")
+        self.eval_every = eval_every
         self.rng = np.random.default_rng(seed)
         self.server = Server(model.parameters_vector(), self.global_lr, num_clients)
         self.history = TrainingHistory()
@@ -116,9 +122,9 @@ class RoundEngine:
     def _start_fresh(self) -> None:
         """Reset run state for a run that does not resume a checkpoint.
 
-        Back-to-back runs in one process each start from an empty trace,
-        metric registry and diagnostics log instead of accumulating the
-        previous run's (already-streamed exporter output is untouched).
+        Back-to-back runs in one process each start from an empty trace and
+        metric registry instead of accumulating the previous run's
+        (already-streamed exporter output is untouched).
         """
         self.strategy.reset()
         get_telemetry().reset()
@@ -134,7 +140,9 @@ class RoundEngine:
         return bool(expelled) and len(expelled) >= self.server.state.num_clients
 
     def serving_summary(self) -> Optional[dict]:
-        """Delivery-trace summary for the runrecord; None without tracing."""
+        """Always None: delivery latency lives on the ``serving.flush`` spans,
+        not in the run record.  Kept because ``bench/child.py`` passes it to
+        :func:`~repro.runrecord.build_run_record`."""
         return None
 
     # ------------------------------------------------------------------
@@ -196,11 +204,7 @@ class RoundEngine:
             from ..runrecord import build_run_record, write_run_record
 
             write_run_record(
-                build_run_record(
-                    result,
-                    algorithm=getattr(self.strategy, "name", "unknown"),
-                    serving=self.serving_summary(),
-                ),
+                build_run_record(result, algorithm=getattr(self.strategy, "name", "unknown")),
                 record_path,
             )
         return result
@@ -231,7 +235,6 @@ class RoundEngine:
             output_accuracy=output_accuracy,
             diverged=diverged,
             elapsed_seconds=time.perf_counter() - run_started,
-            diagnostics=list(get_telemetry().diagnostics),
         )
 
     # ------------------------------------------------------------------
@@ -290,7 +293,7 @@ class RoundEngine:
         round_sim: float,
         **fields,
     ) -> RoundRecord:
-        """Record the round, then publish its telemetry and diagnostics.
+        """Record the round, then publish its telemetry and keep its diagnostics.
 
         ``fields`` are the engine-specific :class:`RoundRecord` fields
         (participants, faults, traffic).  Expulsions are ``strategy.expelled``
@@ -327,10 +330,8 @@ class RoundEngine:
         if record.expelled:
             telemetry.counter("agg.expelled").add(len(record.expelled))
         if telemetry.enabled:
-            telemetry.gauge("round.test_accuracy").set(record.test_accuracy)
-            telemetry.gauge("round.test_loss").set(record.test_loss)
             self._publish_diagnostics(telemetry, record, updates)
-            telemetry.end_round()
+            record.diagnostics = telemetry.end_round()
         return record
 
     def _publish_diagnostics(self, telemetry, record, updates) -> None:

@@ -7,6 +7,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from ..telemetry.diagnostics import AlgoDiagnostics
 from .metrics import instability, rounds_to_target, time_to_target
 
 #: RoundRecord dict fields keyed by client id (JSON object keys are strings).
@@ -43,6 +44,8 @@ class RoundRecord:
     # Guard accounting (repro.guard; empty when no guard is attached):
     anomalies: List[str] = field(default_factory=list)  # anomaly kinds observed
     recovery: Optional[str] = None  # action applied after this round, if any
+    # What the algorithm published this round (None while telemetry is off):
+    diagnostics: Optional[AlgoDiagnostics] = None
 
     @property
     def fault_count(self) -> int:
@@ -55,6 +58,8 @@ class RoundRecord:
         for name in _CLIENT_KEYED:
             data[name] = {str(cid): value for cid, value in sorted(data[name].items())}
         data["deliveries"] = dict(sorted(data["deliveries"].items()))
+        if self.diagnostics is not None:
+            data["diagnostics"] = self.diagnostics.to_dict()
         return data
 
     @classmethod
@@ -64,6 +69,8 @@ class RoundRecord:
         for name in _CLIENT_KEYED:
             if name in kwargs:
                 kwargs[name] = {int(cid): value for cid, value in kwargs[name].items()}
+        if kwargs.get("diagnostics") is not None:
+            kwargs["diagnostics"] = AlgoDiagnostics.from_dict(kwargs["diagnostics"])
         return cls(**kwargs)
 
 

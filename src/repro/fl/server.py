@@ -41,10 +41,7 @@ class Server:
         new_params = self.state.global_params - self.global_lr * delta
         strategy.post_round(self.state, updates)
         self.state.advance(new_params, delta)
-        telemetry = get_telemetry()
-        telemetry.counter("server.rounds").add(1)
-        if telemetry.enabled:  # the norm is computed only when someone listens
-            telemetry.gauge("server.global_delta_norm").set(float(np.linalg.norm(delta)))
+        get_telemetry().counter("server.rounds").add(1)
         return new_params
 
     def skip_round(self) -> np.ndarray:

@@ -22,7 +22,6 @@ from ..analysis.runrecords import (
     per_client_envelope,
     record_label,
     scalar_series,
-    serving_series,
     sim_time_series,
 )
 
@@ -419,20 +418,6 @@ def render_html(
                     f"Momentum norms — {label}",
                     "STEM final local momentum ‖v_i‖ per round: min/mean/max",
                     momentum,
-                )
-            )
-        serving = serving_series(record)
-        if serving:
-            panels.append(
-                _panel(
-                    f"Delivery latency — {label}",
-                    "per-flush end-to-end delivery latency percentiles "
-                    "and mean buffer residency (virtual seconds)",
-                    [
-                        (name, _rounds_x(values), values)
-                        for name, values in serving.items()
-                    ],
-                    y_label="seconds",
                 )
             )
         deliveries = delivery_series(record)

@@ -18,7 +18,6 @@ from ..analysis.runrecords import (
     per_client_envelope,
     record_label,
     scalar_series,
-    serving_series,
 )
 
 
@@ -88,12 +87,6 @@ def render_ascii(records: List[Dict[str, Any]], title: str = "repro run report")
             if values:
                 freeloader[name.split(".", 1)[-1]] = values
         chart = _series_or_none(freeloader, title=f"freeloader scores (Eq. 10) — {label}")
-        if chart:
-            sections.append(chart)
-        chart = _series_or_none(
-            serving_series(record),
-            title=f"delivery latency (virtual s) — {label}",
-        )
         if chart:
             sections.append(chart)
         chart = _series_or_none(

@@ -2,9 +2,10 @@
 
 Every simulation can persist a self-describing JSON artifact holding the
 config, platform, per-round history, per-round algorithm diagnostics
-(collected by :mod:`repro.telemetry` while it is enabled), final metrics, traffic/fault/guard totals and
-timing.  The schema is versioned (:data:`SCHEMA_VERSION`) and validated on
-load, so ``repro report`` / ``repro diff`` can refuse records they do not
+(collected by :mod:`repro.telemetry` while it is enabled and kept on each
+round's record), final metrics, traffic/fault/guard totals and timing.
+The schema is versioned (:data:`SCHEMA_VERSION`) and validated on load, so
+``repro report`` / ``repro diff`` can refuse records they do not
 understand instead of mis-rendering them.
 
 Determinism contract: **every wall-clock-derived field lives under the
@@ -29,7 +30,7 @@ import json
 import platform as _platform
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, Optional
 
 import numpy as np
 
@@ -65,9 +66,11 @@ def _platform_info() -> Dict[str, str]:
 
 
 def _round_to_dict(record) -> Dict[str, Any]:
-    """JSON-safe round dump; ``round_wall_time`` is excluded (timing key)."""
+    """JSON-safe round dump without ``round_wall_time`` (it belongs under
+    ``timing``) and without the diagnostics (the top-level list holds them)."""
     data = record.to_dict()
     del data["round_wall_time"]
+    data.pop("diagnostics", None)
     return data
 
 
@@ -75,24 +78,20 @@ def build_run_record(
     result,
     algorithm: str,
     config=None,
-    diagnostics: Optional[List] = None,
     serving: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Assemble the versioned record for one :class:`SimulationResult`.
 
     ``config`` is an :class:`repro.experiments.ExperimentConfig` (or ``None``
-    when the simulation was built by hand); ``diagnostics`` defaults to the
-    diagnostics the run itself collected (``result.diagnostics``).
-    ``serving`` is the optional delivery-trace summary from
-    ``AsyncCoordinator.serving_summary()`` — virtual-time only, so it
-    keeps the determinism contract; the key is absent when tracing was
-    off, which preserves byte-identity with pre-tracing records.
+    when the simulation was built by hand); the diagnostics are the ones
+    the history's rounds carry (``result.diagnostics``).  ``serving`` is
+    an optional virtual-time section kept for callers that pass one; the
+    engines write none (delivery latency lives on the ``serving.flush``
+    spans), and the key is absent when it is ``None``.
     """
     from dataclasses import asdict, is_dataclass
 
     history = result.history
-    if diagnostics is None:
-        diagnostics = getattr(result, "diagnostics", []) or []
     config_dict = None
     if config is not None:
         config_dict = asdict(config) if is_dataclass(config) else dict(config)
@@ -102,7 +101,7 @@ def build_run_record(
         "config": config_dict,
         "platform": _platform_info(),
         "rounds": [_round_to_dict(r) for r in history.records],
-        "diagnostics": [d.to_dict() for d in diagnostics],
+        "diagnostics": [d.to_dict() for d in result.diagnostics],
         "final": {
             "final_accuracy": result.final_accuracy,
             "output_accuracy": result.output_accuracy,
@@ -173,7 +172,7 @@ def validate_run_record(record: Any) -> Dict[str, Any]:
             raise RunRecordError(f"'final' is missing {key!r}")
     if "elapsed_seconds" not in record["timing"]:
         raise RunRecordError("'timing' is missing 'elapsed_seconds'")
-    if "serving" in record:  # optional: present only when delivery tracing ran
+    if "serving" in record:  # optional: present only when a caller passed one
         serving = record["serving"]
         if not isinstance(serving, dict) or not isinstance(
             serving.get("rounds"), list

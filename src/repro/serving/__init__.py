@@ -1,10 +1,12 @@
 """Serving observability for the async coordinator.
 
-Three pieces (docs/OBSERVABILITY.md, "Serving observability"):
+The delivery traces themselves are ordinary telemetry: while telemetry is
+enabled the coordinator writes every dispatch's span tree (queue wait →
+compute → network → buffer) and each flush's latency summary to the
+telemetry tracer (:mod:`repro.federation.tracing`, which lives next to the
+coordinator because :mod:`.loadtest` imports the coordinator).  This
+package reads them (docs/OBSERVABILITY.md, "Serving observability"):
 
-- :mod:`repro.serving.tracing` — causal delivery tracing: every dispatch
-  becomes a span tree (queue wait → compute → network → buffer) closed at
-  its terminal event, plus per-flush latency summaries;
 - :mod:`repro.serving.chrome` — Chrome trace-event JSON export
   (``repro trace export``), one lane per client speed tier plus a
   coordinator lane, loadable in Perfetto / ``chrome://tracing``;
@@ -13,9 +15,8 @@ Three pieces (docs/OBSERVABILITY.md, "Serving observability"):
   latency percentiles from telemetry histograms, and saturation-knee
   detection, all in CostModel virtual time.
 
-Everything is off by default: without ``delivery_tracing`` the
-coordinator takes no serving-related branch, so training numerics and
-runrecords stay bit-identical.
+With telemetry off the coordinator makes no span, and tracing never
+changes training numerics or run records.
 """
 
 from .chrome import (
@@ -32,12 +33,11 @@ from .loadtest import (
     run_loadtest,
     run_loadtest_point,
 )
-from .tracing import SERVING_STAGES, DeliveryTraceRecorder
+from ..federation.tracing import SERVING_STAGES
 
 __all__ = [
     "DEFAULT_KNEE_FRACTION",
     "DEFAULT_RATE_FACTORS",
-    "DeliveryTraceRecorder",
     "LoadTestConfig",
     "SERVING_STAGES",
     "chrome_trace_events",

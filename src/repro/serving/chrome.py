@@ -160,12 +160,12 @@ def export_chrome_trace(
 
     Backs ``repro trace export``.  Raises :class:`ValueError` when the
     source holds no spans — an empty trace almost always means the run
-    was made without ``--telemetry jsonl:...`` or ``--trace-deliveries``.
+    was made without ``--telemetry jsonl:...``.
     """
     spans = load_spans_jsonl(source)
     if not spans:
         raise ValueError(
             f"{source}: no span events found (run with --telemetry jsonl:PATH"
-            " and --trace-deliveries to record serving spans)"
+            " to record spans)"
         )
     return write_chrome_trace(spans, destination)

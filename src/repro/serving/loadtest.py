@@ -4,8 +4,8 @@ The harness replays one :class:`~repro.network.traffic.ArrivalTrace`
 workload shape (poisson / flash / diurnal) against
 :class:`~repro.federation.coordinator.AsyncCoordinator` at a sweep of
 offered rates — :meth:`ArrivalTrace.scaled` compresses the trace in
-time, so every point replays the *same* bursts, only faster — with
-delivery tracing on.  Each point yields:
+time, so every point replays the *same* bursts, only faster — inside a
+telemetry session, so every delivery is traced.  Each point yields:
 
 - **throughput**: flushed deliveries per virtual second;
 - **latency**: p50/p90/p99/max end-to-end delivery latency plus a
@@ -38,9 +38,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..federation.runner import SMOKE_CONFIG, FederateConfig, build_coordinator
+from ..federation.tracing import SERVING_STAGES
 from ..network.traffic import make_trace, trace_names
 from ..telemetry import get_telemetry, telemetry_session
-from .tracing import SERVING_STAGES
 
 #: Offered-rate multipliers swept by default (1.0 = the trace as built).
 DEFAULT_RATE_FACTORS: Tuple[float, ...] = (0.25, 1.0, 4.0, 16.0)
@@ -98,8 +98,8 @@ def run_loadtest_point(
 ) -> Dict[str, Any]:
     """Run the workload at one offered rate; returns the capacity point.
 
-    The trace is time-compressed by ``rate_factor`` and replayed with
-    delivery tracing on inside a private telemetry session (exact-mode
+    The trace is time-compressed by ``rate_factor`` and replayed inside a
+    private telemetry session, which traces every delivery (exact-mode
     histograms feed the percentiles).  The round budget is derived from
     the trace itself — ``total_arrivals // buffer_size`` minus a margin —
     so the whole measured run is open-loop; the closed-loop fallback
@@ -112,14 +112,14 @@ def run_loadtest_point(
     buffer_size = base.buffer_size or base.cohort_size
     rounds = max(1, trace.total_arrivals // buffer_size - 1)
     coordinator = build_coordinator(
-        base.with_overrides(seed=config.seed, rounds=rounds),
-        arrival_trace=trace,
-        delivery_tracing=True,
+        base.with_overrides(seed=config.seed, rounds=rounds), arrival_trace=trace
     )
     with telemetry_session([]):
         coordinator.run(rounds)
         telemetry = get_telemetry()
-        e2e = _percentile_block(telemetry.histogram("serving.e2e_seconds"))
+        latency = telemetry.histogram("serving.e2e_seconds")
+        flushed = latency.count  # one observation per flushed delivery
+        e2e = _percentile_block(latency)
         stages = {}
         for stage in SERVING_STAGES:
             histogram = telemetry.histogram("serving.stage_seconds", stage=stage)
@@ -129,8 +129,6 @@ def run_loadtest_point(
             )
             del block["p90"], block["max"]
             stages[stage] = block
-    recorder = coordinator.delivery_recorder
-    flushed = sum(int(stats["flushed"]) for stats in recorder.round_stats)
     virtual_time = coordinator.virtual_time
     return {
         "rate_factor": rate_factor,

@@ -3,14 +3,17 @@
 The subsystem has four parts (see ``docs/OBSERVABILITY.md``):
 
 - **spans** — nestable timed sections (``round`` > ``client`` >
-  ``aggregate``) recorded by a :class:`Tracer` against an injectable clock;
+  ``aggregate``) recorded by a :class:`Tracer` against an injectable clock,
+  plus the async coordinator's virtual-time ``serving.*`` delivery trees
+  (:mod:`repro.federation.tracing`), written whenever telemetry is on;
 - **metrics** — a :class:`MetricRegistry` of counters, gauges and
   histograms (``round.wall_seconds``, ``transport.uplink_bytes``,
   ``agg.expelled``, ...);
 - **diagnostics** — one :class:`AlgoDiagnostics` per round holding what
   the algorithm decided (TACO's alpha_i and strikes, Scaffold's control
-  norms, the live Y_t proxy), kept for the run record and streamed as an
-  ``algo.diagnostics`` event;
+  norms, the live Y_t proxy), streamed as an ``algo.diagnostics`` event
+  and kept on the round's :class:`~repro.fl.history.RoundRecord`, so
+  checkpoints, resumes and guard rollbacks carry it with the round;
 - **exporters** — JSONL event stream, Prometheus text dump and a console
   summary, selected with ``repro run ... --telemetry jsonl:out/trace.jsonl``.
 

@@ -10,9 +10,11 @@ to :meth:`~repro.telemetry.Telemetry.end_round`).  It holds two channels:
   (``taco.alpha``, ``taco.drift_cosine``, ``stem.momentum_norm``, ...).
 
 The record is plain data: JSON-safe via :meth:`AlgoDiagnostics.to_dict`
-(client ids become string keys, as JSON requires; the run record and the
-``algo.diagnostics`` event both carry this form) and reconstructable from
-it via :meth:`AlgoDiagnostics.from_dict`.  ``docs/OBSERVABILITY.md``
+(client ids become string keys, as JSON requires; the run record, the
+checkpointed history and the ``algo.diagnostics`` event all carry this
+form) and reconstructable from it via :meth:`AlgoDiagnostics.from_dict`,
+which restores a checkpointed round's
+:class:`~repro.fl.history.RoundRecord`.  ``docs/OBSERVABILITY.md``
 describes what each strategy publishes.
 """
 

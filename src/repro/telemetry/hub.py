@@ -14,19 +14,19 @@ The round window is what the algorithm publishes into: the round engine
 opens it with :meth:`Telemetry.begin_round`, strategies add
 :meth:`~Telemetry.scalar` and :meth:`~Telemetry.per_client` values (TACO's
 alpha_i, its strikes, Scaffold's control norms, ...), and
-:meth:`~Telemetry.end_round` keeps the finished :class:`AlgoDiagnostics`
-in :attr:`Telemetry.diagnostics` and streams it as one
-``algo.diagnostics`` event.  Publishes outside an open round are dropped,
-so strategy methods called standalone (the theory experiments do) stay
-safe.
+:meth:`~Telemetry.end_round` streams the finished :class:`AlgoDiagnostics`
+as one ``algo.diagnostics`` event and returns it, so the round engine can
+keep it on the round's :class:`~repro.fl.history.RoundRecord`.  Publishes
+outside an open round are dropped, so strategy methods called standalone
+(the theory experiments do) stay safe.
 
 Enable telemetry for a scope with :func:`telemetry_session`::
 
     from repro.telemetry import telemetry_session, JsonlExporter
 
-    with telemetry_session([JsonlExporter("out/trace.jsonl")]) as telemetry:
+    with telemetry_session([JsonlExporter("out/trace.jsonl")]):
         result = simulation.run(rounds=10)
-    for diag in telemetry.diagnostics:   # also result.diagnostics
+    for diag in result.diagnostics:   # one per round, read from the history
         print(diag.round, diag.scalars.get("taco.mean_alpha"))
 
 or install permanently with :func:`set_telemetry`.  A session with no
@@ -36,7 +36,7 @@ exporter (``repro run --introspect``) only collects.
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, Optional
 
 from .diagnostics import AlgoDiagnostics
 from .exporters import Exporter
@@ -45,7 +45,7 @@ from .spans import SpanRecord, Tracer
 
 
 class Telemetry:
-    """Live telemetry: a tracer, a metric registry, exporters, diagnostics.
+    """Live telemetry: a tracer, a metric registry, exporters, a round window.
 
     Parameters
     ----------
@@ -62,8 +62,6 @@ class Telemetry:
         self.registry = MetricRegistry()
         self.tracer = Tracer(clock=clock, on_finish=self._span_finished)
         self.exporters = list(exporters)
-        #: One AlgoDiagnostics per closed round since the last reset.
-        self.diagnostics: List[AlgoDiagnostics] = []
         self._round: Optional[AlgoDiagnostics] = None
 
     # ------------------------------------------------------------------
@@ -106,27 +104,28 @@ class Telemetry:
         if self._round is not None:
             self._round.merge_per_client(name, values)
 
-    def end_round(self) -> None:
-        """Close the window: keep the record and stream it as an event."""
+    def end_round(self) -> Optional[AlgoDiagnostics]:
+        """Close the window: stream the round's record as an event and return it.
+
+        Returns ``None`` when no round was open.
+        """
         record, self._round = self._round, None
-        if record is None:
-            return
-        self.diagnostics.append(record)
-        self.event("algo.diagnostics", **record.to_dict())
+        if record is not None:
+            self.event("algo.diagnostics", **record.to_dict())
+        return record
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Clear the tracer, the registry and the diagnostics.
+        """Clear the tracer and the registry, and drop any open round.
 
         Exporter output already streamed (e.g. JSONL lines) is untouched —
         a trace file legitimately spans several runs; the in-memory state
-        that terminal dumps and run records are built from starts fresh.
+        that terminal dumps are built from starts fresh.
         """
         self.tracer.reset()
         self.registry.reset()
-        self.diagnostics = []
         self._round = None
 
     def flush(self) -> None:
@@ -190,9 +189,6 @@ class NoopTelemetry:
 
     enabled = False
 
-    #: Always empty, so readers need no branching.
-    diagnostics: tuple = ()
-
     def span(self, name: str, **attributes: Any) -> _NoopSpan:
         """A shared no-op context manager."""
         return _NOOP_SPAN
@@ -222,7 +218,7 @@ class NoopTelemetry:
         """Discard the values."""
 
     def end_round(self) -> None:
-        """Discard the round close."""
+        """Discard the round close; there is no record to return."""
 
     def reset(self) -> None:
         """Nothing to clear."""

@@ -1,5 +1,6 @@
 """The run lifecycle and checkpoint core shared by the sync and async engines."""
 
+import contextlib
 import json
 import os
 import tempfile
@@ -92,13 +93,24 @@ def test_run_cannot_go_backwards(kind):
     via_checkpoint=st.booleans(),
 )
 def test_split_run_matches_uninterrupted(kind, algorithm, eval_every, split, via_checkpoint):
-    """Stopping at any round and going on, by resume or by a second run(), trains bit-exact."""
-    straight = make_engine(kind, algorithm, eval_every).run(4)
+    """Stopping at any round and going on, by resume or by a second run(), trains bit-exact.
+
+    A resume writes the uninterrupted run's record, diagnostics included.
+    Each run then has its own telemetry session, the resumed one a fresh
+    session as a restarted process would.
+    """
+    session = telemetry_session if via_checkpoint else contextlib.nullcontext
+    with session():
+        straight = make_engine(kind, algorithm, eval_every).run(4)
     first = make_engine(kind, algorithm, eval_every)
     with tempfile.TemporaryDirectory() as directory:
-        first.run(split, checkpoint_every=split, checkpoint_dir=directory)
+        with session():
+            first.run(split, checkpoint_every=split, checkpoint_dir=directory)
         if via_checkpoint:
-            split_run = make_engine(kind, algorithm, eval_every).run(4, resume_from=directory)
+            with session():
+                split_run = make_engine(kind, algorithm, eval_every).run(
+                    4, resume_from=directory
+                )
         else:
             split_run = first.run(4)
     assert split_run.final_params.tobytes() == straight.final_params.tobytes()
@@ -108,6 +120,9 @@ def test_split_run_matches_uninterrupted(kind, algorithm, eval_every, split, via
     np.testing.assert_array_equal(
         split_run.history.accuracies[same], straight.history.accuracies[same]
     )
+    if via_checkpoint:
+        assert [d.round for d in split_run.diagnostics] == list(range(4))
+        assert record_without_timing(split_run) == record_without_timing(straight)
 
 
 def test_sync_oracle_runrecords_match_with_diagnostics():

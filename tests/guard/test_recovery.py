@@ -15,6 +15,7 @@ from repro.faults import FaultPlan
 from repro.fl import Client, FederatedSimulation
 from repro.fl.degradation import DegradationPolicy
 from repro.guard import GuardPolicy
+from repro.telemetry import telemetry_session
 
 
 def make_sim(guard=None, corrupt_schedule=None, quarantine=False, seed=0, **policy_kwargs):
@@ -94,12 +95,15 @@ class TestRollbackRung:
 
     def test_rollback_truncates_poisoned_history(self):
         sim = make_sim(corrupt_schedule={2: {0: "nan-stealth"}, 3: {0: "nan-stealth"}})
-        sim.run(5)
+        with telemetry_session():
+            result = sim.run(5)
         # One record per surviving round: the loop invariant holds after
-        # every mix of skips and rollbacks.
+        # every mix of skips and rollbacks, and each round's diagnostics
+        # go with its record.
         assert len(sim.history) == sim.server.state.round == 5
         rounds = [r.round for r in sim.history.records]
         assert rounds == list(range(5))
+        assert [d.round for d in result.diagnostics] == list(range(5))
 
     def test_recovery_events_are_audited(self):
         sim = make_sim(corrupt_schedule={0: {0: "nan-stealth"}})

@@ -13,7 +13,7 @@ import pytest
 
 from repro.experiments import run_algorithm
 from repro.experiments.runner import _RESULT_CACHE, make_experiment_strategy
-from repro.telemetry import telemetry_session
+from repro.telemetry import InMemoryExporter, telemetry_session
 
 
 @pytest.fixture
@@ -34,7 +34,8 @@ class TestIntrospectionEquivalence:
         plain = run_algorithm(
             config, algorithm, strategy=make_experiment_strategy(config, algorithm)
         )
-        with telemetry_session() as telemetry:
+        exporter = InMemoryExporter()
+        with telemetry_session([exporter]):
             observed = run_algorithm(
                 config, algorithm, strategy=make_experiment_strategy(config, algorithm)
             )
@@ -43,7 +44,8 @@ class TestIntrospectionEquivalence:
         np.testing.assert_array_equal(
             plain.history.accuracies, observed.history.accuracies
         )
-        # The observed run actually collected something.
-        assert len(telemetry.diagnostics) == config.rounds
-        assert observed.diagnostics == telemetry.diagnostics
+        # The observed run actually collected something, one record per round.
+        events = [e["fields"] for e in exporter.events if e.get("name") == "algo.diagnostics"]
+        assert [d.round for d in observed.diagnostics] == list(range(config.rounds))
+        assert [d.to_dict() for d in observed.diagnostics] == events
         assert plain.diagnostics == []

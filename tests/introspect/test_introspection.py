@@ -37,8 +37,7 @@ class TestCollector:
         NOOP.begin_round(0, "taco")
         NOOP.scalar("taco.mean_alpha", 0.5)
         NOOP.per_client("taco.alpha", {0: 0.5})
-        NOOP.end_round()
-        assert list(NOOP.diagnostics) == []
+        assert NOOP.end_round() is None
 
     def test_session_installs_and_restores(self):
         with telemetry_session() as telemetry:
@@ -59,33 +58,32 @@ class TestCollector:
         telemetry.scalar("taco.mean_alpha", 0.5)
         telemetry.per_client("taco.alpha", {1: 0.4, 0: 0.6})
         telemetry.per_client("taco.strikes", {1: 2.0})
-        telemetry.end_round()
-        assert len(telemetry.diagnostics) == 1
-        record = telemetry.diagnostics[0]
+        record = telemetry.end_round()
         assert record.round == 0
         assert record.algorithm == "taco"
         assert record.scalars == {"taco.mean_alpha": 0.5}
         assert record.per_client["taco.alpha"] == {0: 0.6, 1: 0.4}
         assert record.per_client["taco.strikes"] == {1: 2.0}
+        assert telemetry.end_round() is None  # the window closed with the record
 
     def test_publishes_outside_a_round_are_dropped(self):
         telemetry = Telemetry()
         telemetry.scalar("x", 1.0)
         telemetry.per_client("y", {0: 1.0})
-        telemetry.end_round()  # no open round: no-op
-        assert telemetry.diagnostics == []
+        assert telemetry.end_round() is None  # no open round: no-op
+        telemetry.begin_round(0, "fedavg")
+        record = telemetry.end_round()
+        assert record.scalars == {} and record.per_client == {}
 
     def test_reset_drops_records_and_open_round(self):
         telemetry = Telemetry()
         telemetry.begin_round(0, "fedavg")
         telemetry.scalar("x", 1.0)
-        telemetry.end_round()
+        assert telemetry.end_round().round == 0
         telemetry.begin_round(1, "fedavg")
         telemetry.reset()
-        assert telemetry.diagnostics == []
         telemetry.scalar("x", 1.0)  # dropped: reset closed the round
-        telemetry.end_round()
-        assert telemetry.diagnostics == []
+        assert telemetry.end_round() is None
 
     def test_end_round_mirrors_record_to_telemetry(self):
         exporter = InMemoryExporter()
@@ -145,18 +143,20 @@ def fresh_cache():
 
 class TestStrategiesPublish:
     def _run(self, config, name):
-        with telemetry_session() as telemetry:
+        exporter = InMemoryExporter()
+        with telemetry_session([exporter]):
             result = run_algorithm(
                 config, name, strategy=make_experiment_strategy(config, name)
             )
-        return telemetry, result
+        events = [e["fields"] for e in exporter.events if e.get("name") == "algo.diagnostics"]
+        return events, result
 
     def test_taco_publishes_alphas_drift_and_theory(self, tiny_config, fresh_cache):
         config = tiny_config.with_overrides(rounds=2)
-        telemetry, result = self._run(config, "taco")
-        assert len(telemetry.diagnostics) == config.rounds
-        assert result.diagnostics == telemetry.diagnostics
-        record = telemetry.diagnostics[-1]
+        events, result = self._run(config, "taco")
+        assert len(result.diagnostics) == config.rounds
+        assert [d.to_dict() for d in result.diagnostics] == events
+        record = result.diagnostics[-1]
         assert set(record.per_client["taco.alpha"]) <= set(range(config.num_clients))
         assert record.per_client["taco.alpha"]
         assert "taco.drift_cosine" in record.per_client
@@ -170,29 +170,29 @@ class TestStrategiesPublish:
         # Detection (Eq. 10) only runs when freeloaders are configured, and
         # round 0 is excluded — so look at the last of three rounds.
         config = tiny_config.with_overrides(rounds=3, num_freeloaders=2)
-        telemetry, _ = self._run(config, "taco")
-        record = telemetry.diagnostics[-1]
+        _, result = self._run(config, "taco")
+        record = result.diagnostics[-1]
         assert "taco.threshold_hits" in record.scalars
         assert "taco.expelled_this_round" in record.scalars
         assert "taco.expelled_total" in record.scalars
 
     def test_scaffold_publishes_control_norms(self, tiny_config, fresh_cache):
         config = tiny_config.with_overrides(rounds=2)
-        telemetry, _ = self._run(config, "scaffold")
-        record = telemetry.diagnostics[-1]
+        _, result = self._run(config, "scaffold")
+        record = result.diagnostics[-1]
         assert "scaffold.server_control_norm" in record.scalars
         assert "scaffold.client_control_norm" in record.per_client
 
     def test_stem_publishes_momentum_norms(self, tiny_config, fresh_cache):
         config = tiny_config.with_overrides(rounds=2)
-        telemetry, _ = self._run(config, "stem")
-        record = telemetry.diagnostics[-1]
+        _, result = self._run(config, "stem")
+        record = result.diagnostics[-1]
         assert "stem.momentum_norm" in record.per_client
 
     def test_fedprox_publishes_zeta_per_client(self, tiny_config, fresh_cache):
         config = tiny_config.with_overrides(rounds=2)
-        telemetry, result = self._run(config, "fedprox")
-        record = telemetry.diagnostics[-1]
+        _, result = self._run(config, "fedprox")
+        record = result.diagnostics[-1]
         participants = result.history.records[-1].participating
         assert sorted(record.per_client["fedprox.zeta"]) == sorted(participants)
 

@@ -4,13 +4,14 @@ import json
 
 import pytest
 
+from repro.federation.tracing import trace_delivery, trace_flush
 from repro.serving import (
-    DeliveryTraceRecorder,
     chrome_trace_events,
     export_chrome_trace,
     load_spans_jsonl,
     write_chrome_trace,
 )
+from repro.telemetry import Telemetry
 from repro.telemetry.spans import Tracer
 
 
@@ -87,14 +88,16 @@ class TestFileRoundTrip:
     def test_jsonl_export_round_trip(self, tmp_path):
         # simulate a JsonlExporter trace: span lines + a metrics line
         source = tmp_path / "trace.jsonl"
-        recorder = DeliveryTraceRecorder()
-        key = recorder.open_delivery(
-            client_id=1, dispatch_version=0, tier="slow", dispatch_time=0.0,
-            compute_start=0.0, compute_end=0.4, arrival_time=0.6,
+        telemetry = Telemetry()
+        stages = trace_delivery(
+            telemetry, client_id=1, version=0, tier="slow", dispatch_time=0.0,
+            compute_start=0.0, compute_end=0.4, arrival_time=0.6, end_time=1.0,
+            outcome="flushed", flush_version=0,
         )
-        recorder.record_flush(0, 1.0, [(key, "flushed")])
+        trace_flush(telemetry, 0, 1.0, [stages])
+        finished = telemetry.tracer.finished
         lines = []
-        for span in recorder.tracer.finished:
+        for span in finished:
             lines.append(json.dumps({
                 "type": "span", "name": span.name, "start": span.start,
                 "end": span.end, "attributes": span.attributes,
@@ -103,7 +106,7 @@ class TestFileRoundTrip:
         source.write_text("\n".join(lines) + "\n")
 
         spans = load_spans_jsonl(source)
-        assert len(spans) == len(recorder.tracer.finished)
+        assert len(spans) == len(finished)
 
         out = tmp_path / "chrome.json"
         count = export_chrome_trace(source, out)

@@ -115,6 +115,18 @@ def test_telemetry_alone_collects_round_diagnostics(tiny_config):
     assert not {"taco.alpha", "taco.mean_alpha", "taco.strikes", "taco.expelled"} & names
 
 
+def test_server_facts_are_published_once(tiny_config):
+    """The global-step norm and the test metrics are diagnostics, not gauges."""
+    config = tiny_config.with_overrides(rounds=2)
+    with telemetry_session() as telemetry:
+        result = _run(config)
+        names = set(telemetry.registry.names())
+    assert not {"server.global_delta_norm", "round.test_accuracy", "round.test_loss"} & names
+    for diagnostics in result.diagnostics:
+        assert diagnostics.scalars["server.global_delta_norm"] > 0.0
+        assert "server.test_accuracy" in diagnostics.scalars
+
+
 def test_round_spans_nest_client_spans(tiny_config):
     config = tiny_config.with_overrides(rounds=1)
     with telemetry_session([InMemoryExporter()]) as telemetry:

@@ -287,6 +287,20 @@ class TestFederate:
         # B == cohort: the sync-equivalent setting has no staleness at all.
         assert payload["mean_staleness"] == 0.0
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--eval-every", "0"], "eval_every"),
+            (["--phi", "0"], "dirichlet_phi"),
+            (["--phi", "-1"], "dirichlet_phi"),
+        ],
+        ids=["eval-every-0", "phi-0", "phi-negative"],
+    )
+    def test_bad_value_is_one_line_usage_error(self, flags, field, capsys):
+        assert main(["federate", "--smoke", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and field in err, err
+
     def test_table_output(self, capsys):
         assert main(["federate", "--smoke"]) == 0
         out = capsys.readouterr().out
@@ -345,28 +359,40 @@ class TestFederate:
         assert err.count("\n") == 1  # one line, no traceback
 
 
+def _spans(path):
+    events = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    return [e for e in events if e["type"] == "span"]
+
+
 class TestServingObservability:
-    def test_federate_trace_deliveries_summary(self, capsys):
-        assert main(["federate", "--smoke", "--json", "--trace-deliveries"]) == 0
+    def test_federate_telemetry_traces_every_flush(self, tmp_path, capsys):
+        jsonl = tmp_path / "serving.jsonl"
+        assert main(["federate", "--smoke", "--json", "--telemetry", f"jsonl:{jsonl}"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        serving = payload["serving"]
-        assert serving["deliveries"] >= 12
-        assert len(serving["rounds"]) == payload["rounds"]
-        for stats in serving["rounds"]:
+        spans = _spans(jsonl)
+        flushes = [s["attributes"] for s in spans if s["name"] == "serving.flush"]
+        assert len([s for s in spans if s["name"] == "serving.delivery"]) >= 12
+        assert len(flushes) == payload["rounds"]
+        for stats in flushes:
             assert stats["e2e_p99"] >= stats["e2e_p50"] > 0
+        assert "serving" not in payload  # the summary lives on the spans only
 
     def test_federate_without_flag_has_no_serving_key(self, capsys):
         assert main(["federate", "--smoke", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "serving" not in payload
 
-    def test_traced_runrecord_has_serving_section(self, tmp_path, capsys):
-        assert main(["federate", "--smoke", "--json", "--trace-deliveries",
-                     "--record-dir", str(tmp_path)]) == 0
+    def test_traced_runrecord_has_no_serving_section(self, tmp_path, capsys):
+        jsonl = tmp_path / "serving.jsonl"
+        assert main(["federate", "--smoke", "--json", "--telemetry", f"jsonl:{jsonl}",
+                     "--record-dir", str(tmp_path / "runs")]) == 0
         capsys.readouterr()
-        (record_path,) = tmp_path.rglob("runrecord.json")
+        (record_path,) = (tmp_path / "runs").rglob("runrecord.json")
         record = json.loads(record_path.read_text(encoding="utf-8"))
-        assert record["serving"]["deliveries"] >= 12
+        # The run was traced, but delivery latency stays on the spans.
+        assert any(s["name"] == "serving.delivery" for s in _spans(jsonl))
+        assert "serving" not in record
+        assert [d["round"] for d in record["diagnostics"]] == [0, 1, 2]
 
     def test_loadtest_writes_payload_and_table(self, tmp_path, capsys):
         out = tmp_path / "loadtest.json"
@@ -389,8 +415,7 @@ class TestServingObservability:
 
     def test_trace_export_round_trip(self, tmp_path, capsys):
         jsonl = tmp_path / "serving.jsonl"
-        assert main(["federate", "--smoke", "--trace-deliveries", "--json",
-                     "--telemetry", f"jsonl:{jsonl}"]) == 0
+        assert main(["federate", "--smoke", "--json", "--telemetry", f"jsonl:{jsonl}"]) == 0
         capsys.readouterr()
         out = tmp_path / "chrome.json"
         assert main(["trace", "export", str(jsonl), "--out", str(out)]) == 0
