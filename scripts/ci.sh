@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: the tier-1 test suite, one smoke run per CLI subsystem (faults,
 # telemetry, run records, resume, scenarios, federation, chaos, serving, guard),
-# the wall-clock benchmark's self-tests, its smoke run and one smoke pair
+# the wall-clock benchmark's self-tests, its smoke runs (untraced and traced), a
+# full-size run whose digests must equal bench/baseline.json, one smoke pair
 # of the paired A/B script, and two run-record parity checks against HEAD.
 #
 # Usage: scripts/ci.sh   (from the repo root; needs pyproject's dev extra:
@@ -222,6 +223,25 @@ python -m pytest -q bench/tests
 
 echo "==> benchmark smoke run (four paper workloads, tiny sizes, checks on)"
 python bench/run.py --smoke --check --out out/bench_smoke.json
+
+echo "==> traced benchmark smoke run (every layer boundary wrapped by name)"
+python bench/run.py --smoke --trace 1 --check --out out/bench_smoke_traced.json
+
+echo "==> benchmark digests (each workload once at full size, against bench/baseline.json)"
+python bench/run.py --seconds 0 --repeats 1 --check --out out/bench_digest.json
+python - <<'PY'
+import json
+
+ran = json.load(open("out/bench_digest.json"))["workloads"]
+baseline = json.load(open("bench/baseline.json"))["workloads"]
+moved = [
+    f"{name}: digest {ran[name]['digest']} != baseline {baseline[name]['digest']}"
+    for name in sorted(baseline)
+    if ran.get(name, {}).get("digest") != baseline[name]["digest"]
+]
+assert not moved, "final parameters moved:\n" + "\n".join(moved)
+print("digests ok:", {name: ran[name]["digest"][:8] for name in sorted(ran)})
+PY
 
 echo "==> paired A/B plumbing (one smoke pair, HEAD against this tree)"
 python scripts/bench_pairs.py HEAD --pairs 1 -- --smoke

@@ -4,7 +4,7 @@ These operations are implemented as fused primitives (a single forward numpy
 computation plus a hand-written backward) rather than compositions of
 :class:`~repro.autograd.tensor.Tensor` ops, because they dominate the runtime
 of the CNN / ResNet / LSTM / MLP models: convolution via im2col, max
-pooling, a fused LSTM step, the affine map of every ``Linear`` layer, and
+pooling, a whole LSTM sequence, the affine map of every ``Linear`` layer, and
 the numerically stabilised log-softmax and cross-entropy loss.
 
 Convolution needs no index arithmetic: its im2col is one strided copy of a
@@ -239,28 +239,6 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     return result
 
 
-def narrow(x: Tensor, start: int, stop: int) -> Tensor:
-    """Column slice ``x[:, start:stop]`` with an assignment-based backward.
-
-    Unlike generic ``__getitem__`` (whose backward scatters with
-    ``np.add.at``), the backward here is a plain slice assignment into a
-    zero buffer — the fast path for splitting fused-op outputs.
-    """
-    data = x.data[:, start:stop]
-    in_shape = x.shape
-
-    def backward(g: np.ndarray):
-        grad = np.zeros(in_shape, dtype=g.dtype)
-        grad[:, start:stop] = g
-        return (grad,)
-
-    requires = is_grad_enabled() and x.requires_grad
-    result = Tensor(data, requires_grad=requires, _parents=(x,) if requires else ())
-    if requires:
-        result._backward = backward
-    return result
-
-
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Affine map ``x @ weight.T + bias`` as one graph node.
 
@@ -314,52 +292,130 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return result
 
 
-def lstm_step(
-    x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor
+def lstm_sequence(
+    x: Tensor, h0: Tensor, c0: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor
 ) -> Tensor:
-    """One fused LSTM cell step; returns ``[h', c']`` stacked as (batch, 2H).
+    """A whole LSTM sequence as one graph node; returns every step's ``h`` and ``c``.
 
-    All four gates are sliced from a single ``(batch, 4H)`` matmul and the
-    whole step is one graph node with a closed-form backward, replacing the
-    ~17 per-step nodes (4 ``np.add.at`` slice backwards among them) the
-    unfused composition records.  Gate ordering follows the torch
-    convention: input, forget, cell, output.  Split the result with
-    :func:`narrow` (see ``LSTMCell``).
+    ``x`` is ``(batch, T, input)`` and ``h0``/``c0`` the ``(batch, H)``
+    initial state.  The result is ``(T, 2, batch, H)``: ``[t, 0]`` is step
+    ``t``'s hidden state and ``[t, 1]`` its cell state.  Gate ordering
+    follows the torch convention: input, forget, cell, output.
+
+    The node runs the arithmetic of the one-node-per-step graph it replaces
+    (``tests/reference_kernels.step_lstm_forward``), so its output and
+    every gradient are byte-identical to that graph's:
+
+    - each GEMM keeps its per-step shape.  The backward's input and weight
+      gradients are each one ``np.matmul`` over a leading step axis, which
+      runs the same per-step GEMMs; folding the T*batch rows into one 2-D
+      GEMM would move bits;
+    - the logistic runs once over the whole gate block, the same
+      elementwise ops as one call per gate;
+    - the four gate-slot gradients are one pass ``((a*p)*s)*r`` with
+      a = [d_c, d_c, d_c, grad_h], p = [g, c_prev, i, tanh c],
+      s = [i, f, 1, o] and r = [1-i, 1-f, 1-g^2, 1-o]: each slot's
+      expression in the per-step graph, since multiplying by 1 is exact;
+    - the weight and bias gradients are summed from the last step to the
+      first, the order in which the graph walk summed the per-step nodes'
+      contributions.  A step's state gradient is the incoming one plus the
+      next step's, as the zero-padded buffers of the per-step split summed
+      it, and the input gradient gets the ``+ 0`` of the per-step slices'
+      scatter.
+
+    The per-step arrays the backward needs are kept only when the node
+    records a graph; under ``no_grad`` only the rolling state is kept
+    beside the output.
     """
+    batch, steps, _ = x.shape
     hidden = w_hh.shape[1]
-    gates = x.data @ w_ih.data.T + h.data @ w_hh.data.T + bias.data
-    i_gate = 1.0 / (1.0 + np.exp(-gates[:, 0 * hidden : 1 * hidden]))
-    f_gate = 1.0 / (1.0 + np.exp(-gates[:, 1 * hidden : 2 * hidden]))
-    g_gate = np.tanh(gates[:, 2 * hidden : 3 * hidden])
-    o_gate = 1.0 / (1.0 + np.exp(-gates[:, 3 * hidden : 4 * hidden]))
-    c_next = f_gate * c.data + i_gate * g_gate
-    tanh_c = np.tanh(c_next)
-    h_next = o_gate * tanh_c
-    out = np.concatenate([h_next, c_next], axis=1)
+    x_data, h0_data, c0_data = x.data, h0.data, c0.data
+    w_ih_data, w_hh_data, b_data = w_ih.data, w_hh.data, bias.data
+    parents = (x, h0, c0, w_ih, w_hh, bias)
+    requires = is_grad_enabled() and any(p.requires_grad for p in parents)
+    dtype = np.result_type(x_data, h0_data, c0_data, w_ih_data, w_hh_data, b_data)
+    x_steps = x_data.transpose(1, 0, 2)  # x_steps[t] is the view x[:, t, :]
+    w_ih_t, w_hh_t = w_ih_data.T, w_hh_data.T
+    out = np.empty((steps, 2, batch, hidden), dtype=dtype)
+    # Gate activations are kept gate-major, (4, batch, H) per step, so every
+    # elementwise pass after the logistic runs over contiguous blocks.
+    if requires:
+        acts = np.empty((steps, 4, batch, hidden), dtype=dtype)  # [i, f, g, o]
+        tanh_cs = np.empty((steps, batch, hidden), dtype=dtype)
+    else:
+        act = np.empty((4, batch, hidden), dtype=dtype)
+        tanh_c = np.empty((batch, hidden), dtype=dtype)
+    h, c = h0_data, c0_data
+    for t in range(steps):
+        if requires:
+            act, tanh_c = acts[t], tanh_cs[t]
+        gates = x_steps[t] @ w_ih_t + h @ w_hh_t
+        gates += b_data
+        np.negative(gates.reshape(batch, 4, hidden).transpose(1, 0, 2), out=act)
+        np.exp(act, out=act)
+        act += 1.0
+        np.divide(1.0, act, out=act)
+        np.tanh(gates[:, 2 * hidden : 3 * hidden], out=act[2])
+        c_prev = c
+        h, c = out[t, 0], out[t, 1]
+        np.multiply(act[1], c_prev, out=c)
+        c += act[0] * act[2]
+        np.tanh(c, out=tanh_c)
+        np.multiply(act[3], tanh_c, out=h)
 
-    x_data, h_data, c_data = x.data, h.data, c.data
-    w_ih_data, w_hh_data = w_ih.data, w_hh.data
-    parents = (x, h, c, w_ih, w_hh, bias)
+    x_requires, h0_requires, c0_requires = x.requires_grad, h0.requires_grad, c0.requires_grad
 
     def backward(g: np.ndarray):
-        grad_h = g[:, :hidden]
-        grad_c_ext = g[:, hidden:]
-        d_c = grad_c_ext + grad_h * o_gate * (1.0 - tanh_c**2)
-        d_gates = np.empty_like(gates)
-        d_gates[:, 0 * hidden : 1 * hidden] = d_c * g_gate * i_gate * (1.0 - i_gate)
-        d_gates[:, 1 * hidden : 2 * hidden] = d_c * c_data * f_gate * (1.0 - f_gate)
-        d_gates[:, 2 * hidden : 3 * hidden] = d_c * i_gate * (1.0 - g_gate**2)
-        d_gates[:, 3 * hidden : 4 * hidden] = grad_h * tanh_c * o_gate * (1.0 - o_gate)
+        p = np.empty_like(acts)
+        p[:, 0] = acts[:, 2]
+        p[0, 1] = c0_data
+        p[1:, 1] = out[:-1, 1]
+        p[:, 2] = acts[:, 0]
+        p[:, 3] = tanh_cs
+        s = acts.copy()
+        s[:, 2] = 1.0
+        r = 1.0 - acts
+        r[:, 2] = 1.0 - acts[:, 2] ** 2
+        d_tanh_c = 1.0 - tanh_cs**2
+        # d_gates[k] belongs to step T-1-k: the loop order, last step first.
+        d_gates = np.empty((steps, batch, 4 * hidden), dtype=dtype)
+        slots = np.empty((4, batch, hidden), dtype=dtype)
+        dh = dc = None
+        for k in range(steps):
+            t = steps - 1 - k
+            grad_h, grad_c = g[t, 0], g[t, 1]
+            if k:
+                grad_h = grad_h + dh
+                grad_c = grad_c + dc
+            d_c = grad_c + grad_h * acts[t, 3] * d_tanh_c[t]
+            np.multiply(d_c, p[t, :3], out=slots[:3])
+            np.multiply(grad_h, p[t, 3], out=slots[3])
+            slots *= s[t]
+            np.multiply(slots, r[t], out=d_gates[k].reshape(batch, 4, hidden).transpose(1, 0, 2))
+            if t or h0_requires or c0_requires:
+                dh = d_gates[k] @ w_hh_data
+                dc = d_c * acts[t, 1]
+        grad_x = None
+        if x_requires:
+            grad_x = np.empty(x_data.shape, dtype=dtype)
+            np.add(np.matmul(d_gates, w_ih_data)[::-1].transpose(1, 0, 2), 0.0, out=grad_x)
+        # Summing the loop-ordered stack over its first axis adds the steps
+        # last to first; step 0's previous hidden state is h0, not in ``out``.
+        d_gates_t = d_gates.transpose(0, 2, 1)
+        grad_w_ih = np.matmul(d_gates_t, x_steps[::-1]).sum(axis=0)
+        grad_w_hh = d_gates_t[-1] @ h0_data
+        if steps > 1:
+            grad_w_hh = np.matmul(d_gates_t[:-1], out[-2::-1, 0]).sum(axis=0) + grad_w_hh
+        grad_b = d_gates.sum(axis=1).sum(axis=0)
         return (
-            d_gates @ w_ih_data,       # dx
-            d_gates @ w_hh_data,       # dh
-            d_c * f_gate,              # dc
-            d_gates.T @ x_data,        # dW_ih
-            d_gates.T @ h_data,        # dW_hh
-            d_gates.sum(axis=0),       # dbias
+            grad_x,
+            dh if h0_requires else None,
+            dc if c0_requires else None,
+            grad_w_ih,
+            grad_w_hh,
+            grad_b,
         )
 
-    requires = is_grad_enabled() and any(p.requires_grad for p in parents)
     result = Tensor(out, requires_grad=requires, _parents=parents if requires else ())
     if requires:
         result._backward = backward

@@ -15,7 +15,7 @@ reverse topological order accumulating gradients into ``.grad``.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -529,66 +529,3 @@ class Tensor:
 def tensor(data: ArrayLike, requires_grad: bool = False) -> Tensor:
     """Construct a :class:`Tensor` (convenience mirroring ``torch.tensor``)."""
     return Tensor(data, requires_grad=requires_grad)
-
-
-def zeros(*shape, requires_grad: bool = False) -> Tensor:
-    """A zero-filled tensor of the given shape."""
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
-def ones(*shape, requires_grad: bool = False) -> Tensor:
-    """A one-filled tensor of the given shape."""
-    return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-
-def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along ``axis`` with gradient routing."""
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def backward(g: np.ndarray):
-        return tuple(np.split(g, splits, axis=axis))
-
-    requires = _GRAD_ENABLED and any(t.requires_grad for t in tensors)
-    out = Tensor(data, requires_grad=requires, _parents=tuple(tensors) if requires else ())
-    if requires:
-        out._backward = backward
-    return out
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new ``axis`` with gradient routing."""
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(g: np.ndarray):
-        pieces = np.split(g, len(tensors), axis=axis)
-        return tuple(np.squeeze(p, axis=axis) for p in pieces)
-
-    requires = _GRAD_ENABLED and any(t.requires_grad for t in tensors)
-    out = Tensor(data, requires_grad=requires, _parents=tuple(tensors) if requires else ())
-    if requires:
-        out._backward = backward
-    return out
-
-
-def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise select with gradients flowing into both branches."""
-    a_t = a if isinstance(a, Tensor) else Tensor(a)
-    b_t = b if isinstance(b, Tensor) else Tensor(b)
-    cond = np.asarray(condition, dtype=bool)
-    data = np.where(cond, a_t.data, b_t.data)
-
-    def backward(g: np.ndarray):
-        return (
-            _unbroadcast(np.where(cond, g, 0.0), a_t.shape),
-            _unbroadcast(np.where(cond, 0.0, g), b_t.shape),
-        )
-
-    requires = _GRAD_ENABLED and (a_t.requires_grad or b_t.requires_grad)
-    out = Tensor(data, requires_grad=requires, _parents=(a_t, b_t) if requires else ())
-    if requires:
-        out._backward = backward
-    return out

@@ -193,6 +193,15 @@ class RecoveryController:
         record.test_loss = float(snap.test_loss)
         record.recovery = ACTION_SKIP
         simulation._last_evaluated_round = snap.last_evaluated_round
+        # The round's diagnostics were published from the poisoned model:
+        # describe the restored one, as a quorum-skipped round does (no
+        # step, so no global update norm).  The uploads' norms stay: they
+        # are what the clients sent.
+        diagnostics = record.diagnostics
+        if diagnostics is not None:
+            diagnostics.merge_scalar("server.test_accuracy", record.test_accuracy)
+            diagnostics.merge_scalar("server.test_loss", record.test_loss)
+            diagnostics.scalars.pop("server.global_delta_norm", None)
 
     def _apply_rollback(self, simulation) -> None:
         """Rewind to the last good snapshot with server-lr backoff."""

@@ -43,13 +43,3 @@ def uniform_bias(shape: Tuple[int, ...], fan_in: int, rng: np.random.Generator) 
     """Torch-style bias initialisation: U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
     bound = 1.0 / math.sqrt(fan_in) if fan_in > 0 else 0.0
     return rng.uniform(-bound, bound, size=shape)
-
-
-def zeros(shape: Tuple[int, ...]) -> np.ndarray:
-    """Zero initialisation."""
-    return np.zeros(shape)
-
-
-def ones(shape: Tuple[int, ...]) -> np.ndarray:
-    """One initialisation (batch-norm gamma)."""
-    return np.ones(shape)

@@ -1,10 +1,15 @@
-"""Recurrent layers (LSTM) for the Shakespeare next-character task."""
+"""Recurrent layers (LSTM) for the Shakespeare next-character task.
+
+A whole sequence runs through one :func:`repro.autograd.lstm_sequence`
+node, so a T-step forward records one graph node (plus the slices that
+read its output) instead of about five per step.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Tensor, concatenate, get_default_dtype, lstm_step, narrow
+from ..autograd import Tensor, lstm_sequence
 from . import init
 from .module import Module, Parameter
 
@@ -13,9 +18,8 @@ class LSTMCell(Module):
     """A single LSTM cell with fused gate weights.
 
     Gate ordering follows the torch convention: input, forget, cell, output.
-    The whole step runs through the fused :func:`repro.autograd.lstm_step`
-    primitive — one graph node with a closed-form backward — instead of the
-    ~15-node elementwise graph the unfused formulation records per timestep.
+    The cell owns the parameters of an :class:`LSTM`; one step runs as the
+    T = 1 case of :func:`repro.autograd.lstm_sequence`.
     """
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator | None = None) -> None:
@@ -32,9 +36,9 @@ class LSTMCell(Module):
         self.bias = Parameter(np.zeros(4 * hidden_size))
 
     def forward(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-        hs = self.hidden_size
-        hc = lstm_step(x, h, c, self.weight_ih, self.weight_hh, self.bias)
-        return narrow(hc, 0, hs), narrow(hc, hs, 2 * hs)
+        x_seq = x.reshape(x.shape[0], 1, x.shape[1])
+        hc = lstm_sequence(x_seq, h, c, self.weight_ih, self.weight_hh, self.bias)
+        return hc[0, 0], hc[0, 1]
 
 
 class LSTM(Module):
@@ -49,15 +53,12 @@ class LSTM(Module):
         self.hidden_size = hidden_size
 
     def forward(self, x: Tensor, state: tuple[Tensor, Tensor] | None = None) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-        batch, seq_len, _ = x.shape
+        hs = self.hidden_size
         if state is None:
-            h = Tensor(np.zeros((batch, self.hidden_size)))
-            c = Tensor(np.zeros((batch, self.hidden_size)))
+            h = Tensor(np.zeros((x.shape[0], hs)))
+            c = Tensor(np.zeros((x.shape[0], hs)))
         else:
             h, c = state
-        outputs = []
-        for step in range(seq_len):
-            h, c = self.cell(x[:, step, :], h, c)
-            outputs.append(h.reshape(batch, 1, self.hidden_size))
-        sequence = concatenate(outputs, axis=1)
-        return sequence, (h, c)
+        cell = self.cell
+        hc = lstm_sequence(x, h, c, cell.weight_ih, cell.weight_hh, cell.bias)
+        return hc[:, 0].transpose(1, 0, 2), (hc[-1, 0], hc[-1, 1])

@@ -9,14 +9,18 @@ they too are checked byte for byte, under float64 and float32.
 Convolution is checked byte for byte, under both dtypes, against the
 previous production kernel (``take_im2col_conv2d``): the one strided im2col
 copy hands ``tensordot`` and ``einsum`` the same operands its ``np.take``
-gather did.  Against the naive oracle, convolution and the fused LSTM step
-route the same contractions through different BLAS entry points (one
-collapsed dgemm vs per-batch GEMMs; closed-form vs chained backward), which
-can move the last bit or two, so those are compared at near-machine
-tolerance instead.
+gather did.  The LSTM sequence node is checked byte for byte, under both
+dtypes, against the previous production LSTM (one ``lstm_step`` node per
+time step, ``step_lstm_forward``), whose arithmetic it replays.  Against
+the naive oracle, convolution and the LSTM cell route the same
+contractions through different BLAS entry points (one collapsed dgemm vs
+per-batch GEMMs; closed-form vs chained backward), which can move the last
+bit or two, so those are compared at near-machine tolerance instead.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,8 +32,10 @@ from repro.autograd import (
     default_dtype,
     linear,
     max_pool2d,
+    no_grad,
 )
-from repro.nn import LSTMCell
+from repro.nn import LSTM, LSTMCell
+from repro.nn.models import CharLSTM
 
 from tests.reference_kernels import (
     naive_conv2d,
@@ -37,6 +43,7 @@ from tests.reference_kernels import (
     naive_linear,
     naive_lstm_cell_forward,
     naive_max_pool2d,
+    step_lstm_forward,
     take_im2col_conv2d,
 )
 
@@ -237,6 +244,65 @@ class TestLSTMParity:
         # last-bit drift but nothing more.
         for fast, ref in zip(in_fast + p_fast, in_ref + p_ref):
             np.testing.assert_allclose(fast, ref, rtol=1e-12, atol=1e-14)
+
+
+class TestLSTMSequenceParity:
+    """One ``lstm_sequence`` node against one ``lstm_step`` node per time step."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("loss_on", ["sequence", "final-h", "final-c"])
+    @pytest.mark.parametrize("state_grad", [True, False], ids=["state-grad", "no-state"])
+    @pytest.mark.parametrize(
+        "batch,steps", [(1, 1), (16, 20), (250, 20)], ids=["b1-t1", "b16-t20", "b250-t20"]
+    )
+    def test_byte_equal_to_step_graph(self, rng, dtype, loss_on, state_grad, batch, steps):
+        # CharLSTM's widths: 8-wide embeddings into 32 hidden units.
+        inputs, hidden = 8, 32
+        params = [rng.normal(scale=0.5, size=shape) for shape in
+                  ((4 * hidden, inputs), (4 * hidden, hidden), (4 * hidden,))]
+        x_data = rng.normal(size=(batch, steps, inputs))
+        state_data = [rng.normal(size=(batch, hidden)) for _ in range(2)]
+        weight = rng.normal(size=(batch, steps, hidden) if loss_on == "sequence" else (batch, hidden))
+
+        def run(forward):
+            lstm = LSTM(inputs, hidden, rng=np.random.default_rng(0))
+            for param, data in zip(lstm.parameters(), params):
+                param.data[...] = data
+            x = Tensor(x_data, requires_grad=True)
+            state = [Tensor(data, requires_grad=True) for data in state_data] if state_grad else None
+            sequence, (h, c) = forward(lstm, x, state)
+            picked = {"sequence": sequence, "final-h": h, "final-c": c}[loss_on]
+            (picked * Tensor(weight)).sum().backward()
+            grads = [x.grad] + ([t.grad for t in state] if state else [None, None])
+            return [sequence.data, h.data, c.data] + grads + [p.grad for p in lstm.parameters()]
+
+        with default_dtype(dtype):
+            fast = run(lambda lstm, x, state: lstm(x, state))
+            ref = run(step_lstm_forward)
+        assert (fast[4] is None) == (not state_grad)
+        _assert_same_bytes(fast, ref, dtype)
+
+    def test_no_grad_forward_keeps_only_rolling_state(self):
+        # An evaluation forward at the test batch must not keep the per-step
+        # arrays the backward needs: keeping them more than tripled the peak.
+        model = CharLSTM(80, rng=np.random.default_rng(0))
+        tokens = np.random.default_rng(1).integers(0, 80, size=(250, 20))
+
+        def peak(forward):
+            with no_grad():
+                forward(tokens)  # warm caches outside the measurement
+                tracemalloc.start()
+                try:
+                    forward(tokens)
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        node_peak = peak(model)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(LSTM, "forward", step_lstm_forward)
+            oracle_peak = peak(model)
+        assert node_peak <= 1.10 * oracle_peak, (node_peak, oracle_peak)
 
 
 def _assert_same_bytes(fast, ref, dtype):

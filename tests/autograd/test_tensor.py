@@ -3,17 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd import (
-    Tensor,
-    check_gradients,
-    concatenate,
-    is_grad_enabled,
-    no_grad,
-    ones,
-    stack,
-    where,
-    zeros,
-)
+from repro.autograd import Tensor, check_gradients, is_grad_enabled, no_grad
 
 
 class TestConstruction:
@@ -25,10 +15,6 @@ class TestConstruction:
     def test_requires_grad_flag(self):
         assert Tensor([1.0], requires_grad=True).requires_grad
         assert not Tensor([1.0]).requires_grad
-
-    def test_zeros_ones(self):
-        assert np.all(zeros(2, 3).data == 0)
-        assert np.all(ones(4).data == 1)
 
     def test_item_scalar(self):
         assert Tensor(5.0).item() == 5.0
@@ -223,19 +209,6 @@ class TestGradChecks:
     def test_pad2d(self, rng):
         x = Tensor(rng.normal(size=(1, 1, 3, 3)), requires_grad=True)
         assert check_gradients(lambda x: x.pad2d(2).sum(), [x])
-
-    def test_concatenate_stack(self, rng):
-        u = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        v = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        assert check_gradients(
-            lambda u, v: concatenate([u, v], axis=1).sum() + stack([u, v]).mean(), [u, v]
-        )
-
-    def test_where(self, rng):
-        u = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        v = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        cond = rng.normal(size=(3, 3)) > 0
-        assert check_gradients(lambda u, v: where(cond, u, v).sum(), [u, v])
 
 
 class TestComparisons:

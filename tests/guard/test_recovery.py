@@ -63,6 +63,24 @@ class TestSkipRung:
         assert skipped.test_accuracy == sim.history.records[0].test_accuracy
         assert "non-finite-params" in skipped.anomalies
 
+    def test_skipped_round_diagnostics_describe_restored_model(self):
+        # The round's server diagnostics were published from the poisoned
+        # model; after the skip they must read the restored record's
+        # metrics, with no update norm of the step that was undone.
+        sim = make_sim(corrupt_schedule={1: {0: "nan-stealth"}})
+        with telemetry_session():
+            result = sim.run(3)
+        skipped = sim.history.records[1]
+        assert skipped.recovery == "skip"
+        assert result.diagnostics[1] is skipped.diagnostics
+        scalars = skipped.diagnostics.scalars
+        assert scalars["server.test_accuracy"] == skipped.test_accuracy
+        assert scalars["server.test_loss"] == skipped.test_loss
+        assert "server.global_delta_norm" not in scalars
+        assert all(np.isfinite(value) for value in scalars.values())
+        # The poisoned upload's norm is what the client sent: it stays.
+        assert np.isnan(skipped.diagnostics.per_client["server.update_norm"][0])
+
     def test_skip_restores_previous_parameters(self):
         clean = make_sim()
         clean_r1 = clean.run(1)

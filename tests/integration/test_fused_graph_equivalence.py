@@ -2,14 +2,17 @@
 
 ``Linear`` records one ``linear`` node per call and the client loss one
 ``cross_entropy`` node, where the unfused graphs record three and five.
-Each fused backward replays its unfused graph's arithmetic, so whole
-training runs must not move a bit: every run below trains twice from the
-same seed — once as shipped, once with ``Linear.forward`` and the client's
-``cross_entropy`` swapped for the unfused oracles in
-``tests/reference_kernels.py`` — and the final parameter bytes must match.
-A PaperCNN run is held to the same standard against the previous
-``conv2d`` (``take_im2col_conv2d``, an ``np.take`` gather), which
-``Conv2d.forward`` is swapped for.
+``LSTM`` records one ``lstm_sequence`` node per sequence, where the
+previous production LSTM recorded one ``lstm_step`` node per time step
+(plus the slices, splits and concatenate around them).  Each fused
+backward replays its unfused graph's arithmetic, so whole training runs
+must not move a bit: every run below trains twice from the same seed —
+once as shipped, once with ``Linear.forward``, the client's
+``cross_entropy`` and ``LSTM.forward`` swapped for the oracles in
+``tests/reference_kernels.py`` — and the final parameter bytes must match,
+for CharLSTM under float32 as well.  A PaperCNN run is held to the same
+standard against the previous ``conv2d`` (``take_im2col_conv2d``, an
+``np.take`` gather), which ``Conv2d.forward`` is swapped for.
 """
 
 import numpy as np
@@ -17,12 +20,18 @@ import pytest
 
 import repro.fl.client
 from repro.algorithms import make_strategy
+from repro.autograd import default_dtype
 from repro.data import TensorDataset
 from repro.fl import Client, FederatedSimulation
-from repro.nn import Conv2d, Linear
+from repro.nn import LSTM, Conv2d, Linear
 from repro.nn.models import MLP, CharLSTM, PaperCNN
 
-from tests.reference_kernels import naive_cross_entropy, naive_linear, take_im2col_conv2d
+from tests.reference_kernels import (
+    naive_cross_entropy,
+    naive_linear,
+    step_lstm_forward,
+    take_im2col_conv2d,
+)
 
 CLIENTS = 4
 SHARD = 24
@@ -74,12 +83,8 @@ def _train(task, algorithm):
     return sim.run(2).final_params
 
 
-@pytest.mark.parametrize("task", [_mlp_task, _lstm_task], ids=["mlp", "char_lstm"])
-@pytest.mark.parametrize("algorithm", ["fedavg", "taco", "scaffold", "stem"])
-def test_fused_run_matches_unfused_oracles(monkeypatch, task, algorithm):
-    shipped = _train(task, algorithm)
-
-    calls = {"linear": 0, "loss": 0}
+def _train_on_oracles(monkeypatch, task, algorithm):
+    calls = {"linear": 0, "loss": 0, "lstm": 0}
 
     def unfused_forward(layer, x):
         calls["linear"] += 1
@@ -89,12 +94,35 @@ def test_fused_run_matches_unfused_oracles(monkeypatch, task, algorithm):
         calls["loss"] += 1
         return naive_cross_entropy(logits, targets)
 
-    monkeypatch.setattr(Linear, "forward", unfused_forward)
-    monkeypatch.setattr(repro.fl.client, "cross_entropy", unfused_loss)
-    oracle = _train(task, algorithm)
+    def step_graph_forward(lstm, x, state=None):
+        calls["lstm"] += 1
+        return step_lstm_forward(lstm, x, state)
 
+    with monkeypatch.context() as patch:
+        patch.setattr(Linear, "forward", unfused_forward)
+        patch.setattr(repro.fl.client, "cross_entropy", unfused_loss)
+        patch.setattr(LSTM, "forward", step_graph_forward)
+        oracle = _train(task, algorithm)
     assert calls["linear"] and calls["loss"], "the oracles never ran"
+    assert bool(calls["lstm"]) == (task is _lstm_task)
+    return oracle
+
+
+@pytest.mark.parametrize("task", [_mlp_task, _lstm_task], ids=["mlp", "char_lstm"])
+@pytest.mark.parametrize("algorithm", ["fedavg", "taco", "scaffold", "stem"])
+def test_fused_run_matches_unfused_oracles(monkeypatch, task, algorithm):
+    shipped = _train(task, algorithm)
+    oracle = _train_on_oracles(monkeypatch, task, algorithm)
     assert shipped.dtype == oracle.dtype
+    assert shipped.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("algorithm", ["fedavg", "taco", "scaffold", "stem"])
+def test_char_lstm_float32_run_matches_oracles(monkeypatch, algorithm):
+    with default_dtype("float32"):
+        shipped = _train(_lstm_task, algorithm)
+        oracle = _train_on_oracles(monkeypatch, _lstm_task, algorithm)
+    assert shipped.dtype == oracle.dtype == np.dtype("float32")
     assert shipped.tobytes() == oracle.tobytes()
 
 

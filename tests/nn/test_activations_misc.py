@@ -7,7 +7,7 @@ import pytest
 
 from repro.autograd import Tensor
 from repro.nn import ReLU
-from repro.nn.init import kaiming_uniform, uniform_bias, xavier_uniform, zeros, ones
+from repro.nn.init import kaiming_uniform, uniform_bias, xavier_uniform
 
 
 class TestActivations:
@@ -38,9 +38,6 @@ class TestInit:
         rng = np.random.default_rng(0)
         np.testing.assert_allclose(kaiming_uniform((3, 0), fan_in=0, rng=rng), 0.0)
 
-    def test_zeros_ones(self):
-        np.testing.assert_allclose(zeros((2, 2)), 0.0)
-        np.testing.assert_allclose(ones((2, 2)), 1.0)
 
     def test_deterministic_given_generator(self):
         a = kaiming_uniform((5, 5), 5, np.random.default_rng(3))

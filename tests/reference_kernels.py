@@ -233,7 +233,7 @@ def naive_lstm_cell_forward(cell, x: Tensor, h: Tensor, c: Tensor):
     """The unfused LSTM step: ~15 elementwise graph nodes per timestep.
 
     Uses the same parameters as ``cell`` so outputs and parameter gradients
-    are directly comparable with the fused ``lstm_step`` path.
+    are directly comparable with the production ``LSTMCell``.
     """
     gates = x @ cell.weight_ih.T + h @ cell.weight_hh.T + cell.bias
     hs = cell.hidden_size
@@ -244,6 +244,125 @@ def naive_lstm_cell_forward(cell, x: Tensor, h: Tensor, c: Tensor):
     c_next = f_gate * c + i_gate * g_gate
     h_next = o_gate * c_next.tanh()
     return h_next, c_next
+
+
+# ----------------------------------------------------------------------
+# The previous production LSTM: one fused node per time step.  Kept
+# verbatim as the byte oracle of ``repro.autograd.lstm_sequence``, which
+# runs the same arithmetic for a whole sequence in one node.
+# ----------------------------------------------------------------------
+def narrow(x: Tensor, start: int, stop: int) -> Tensor:
+    """Column slice ``x[:, start:stop]`` with an assignment-based backward.
+
+    Unlike generic ``__getitem__`` (whose backward scatters with
+    ``np.add.at``), the backward here is a plain slice assignment into a
+    zero buffer — the fast path for splitting fused-op outputs.
+    """
+    data = x.data[:, start:stop]
+    in_shape = x.shape
+
+    def backward(g: np.ndarray):
+        grad = np.zeros(in_shape, dtype=g.dtype)
+        grad[:, start:stop] = g
+        return (grad,)
+
+    requires = is_grad_enabled() and x.requires_grad
+    result = Tensor(data, requires_grad=requires, _parents=(x,) if requires else ())
+    if requires:
+        result._backward = backward
+    return result
+
+
+def lstm_step(
+    x: Tensor, h: Tensor, c: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor
+) -> Tensor:
+    """One fused LSTM cell step; returns ``[h', c']`` stacked as (batch, 2H).
+
+    All four gates are sliced from a single ``(batch, 4H)`` matmul and the
+    whole step is one graph node with a closed-form backward, replacing the
+    ~17 per-step nodes (4 ``np.add.at`` slice backwards among them) the
+    unfused composition records.  Gate ordering follows the torch
+    convention: input, forget, cell, output.  Split the result with
+    :func:`narrow` (see ``LSTMCell``).
+    """
+    hidden = w_hh.shape[1]
+    gates = x.data @ w_ih.data.T + h.data @ w_hh.data.T + bias.data
+    i_gate = 1.0 / (1.0 + np.exp(-gates[:, 0 * hidden : 1 * hidden]))
+    f_gate = 1.0 / (1.0 + np.exp(-gates[:, 1 * hidden : 2 * hidden]))
+    g_gate = np.tanh(gates[:, 2 * hidden : 3 * hidden])
+    o_gate = 1.0 / (1.0 + np.exp(-gates[:, 3 * hidden : 4 * hidden]))
+    c_next = f_gate * c.data + i_gate * g_gate
+    tanh_c = np.tanh(c_next)
+    h_next = o_gate * tanh_c
+    out = np.concatenate([h_next, c_next], axis=1)
+
+    x_data, h_data, c_data = x.data, h.data, c.data
+    w_ih_data, w_hh_data = w_ih.data, w_hh.data
+    parents = (x, h, c, w_ih, w_hh, bias)
+
+    def backward(g: np.ndarray):
+        grad_h = g[:, :hidden]
+        grad_c_ext = g[:, hidden:]
+        d_c = grad_c_ext + grad_h * o_gate * (1.0 - tanh_c**2)
+        d_gates = np.empty_like(gates)
+        d_gates[:, 0 * hidden : 1 * hidden] = d_c * g_gate * i_gate * (1.0 - i_gate)
+        d_gates[:, 1 * hidden : 2 * hidden] = d_c * c_data * f_gate * (1.0 - f_gate)
+        d_gates[:, 2 * hidden : 3 * hidden] = d_c * i_gate * (1.0 - g_gate**2)
+        d_gates[:, 3 * hidden : 4 * hidden] = grad_h * tanh_c * o_gate * (1.0 - o_gate)
+        return (
+            d_gates @ w_ih_data,       # dx
+            d_gates @ w_hh_data,       # dh
+            d_c * f_gate,              # dc
+            d_gates.T @ x_data,        # dW_ih
+            d_gates.T @ h_data,        # dW_hh
+            d_gates.sum(axis=0),       # dbias
+        )
+
+    requires = is_grad_enabled() and any(p.requires_grad for p in parents)
+    result = Tensor(out, requires_grad=requires, _parents=parents if requires else ())
+    if requires:
+        result._backward = backward
+    return result
+
+
+def concatenate(tensors, axis: int = 0) -> Tensor:
+    """Concatenate tensors along ``axis`` with gradient routing."""
+    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    sizes = [t.shape[axis] for t in tensors]
+    splits = np.cumsum(sizes)[:-1]
+
+    def backward(g: np.ndarray):
+        return tuple(np.split(g, splits, axis=axis))
+
+    requires = is_grad_enabled() and any(t.requires_grad for t in tensors)
+    out = Tensor(data, requires_grad=requires, _parents=tuple(tensors) if requires else ())
+    if requires:
+        out._backward = backward
+    return out
+
+
+def step_lstm_cell_forward(cell, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
+    """The previous ``LSTMCell.forward``: one ``lstm_step`` node and two narrows."""
+    hs = cell.hidden_size
+    hc = lstm_step(x, h, c, cell.weight_ih, cell.weight_hh, cell.bias)
+    return narrow(hc, 0, hs), narrow(hc, hs, 2 * hs)
+
+
+def step_lstm_forward(lstm, x: Tensor, state: tuple[Tensor, Tensor] | None = None):
+    """The previous ``LSTM.forward``: a per-step loop of cell nodes, then a concatenate."""
+    batch, seq_len, _ = x.shape
+    if state is None:
+        h = Tensor(np.zeros((batch, lstm.hidden_size)))
+        c = Tensor(np.zeros((batch, lstm.hidden_size)))
+    else:
+        h, c = state
+    outputs = []
+    for step in range(seq_len):
+        h, c = step_lstm_cell_forward(lstm.cell, x[:, step, :], h, c)
+        outputs.append(h.reshape(batch, 1, lstm.hidden_size))
+    sequence = concatenate(outputs, axis=1)
+    return sequence, (h, c)
 
 
 def naive_linear(x: Tensor, weight: Tensor, bias) -> Tensor:

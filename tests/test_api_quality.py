@@ -92,16 +92,22 @@ _TEST_ONLY_API = {
 }
 
 
+#: Module aliases whose attributes are never this library's definitions
+#: (``np.concatenate`` does not use a ``concatenate`` of ours).
+_FOREIGN_MODULES = {"np", "numpy"}
+
+
 def _references(node, with_strings):
-    """Names a syntax tree uses: ``Name`` ids, ``Attribute`` attrs and, when
-    ``with_strings``, identifier-shaped string constants (registries and
-    ``getattr`` look names up by string)."""
+    """Names a syntax tree uses: ``Name`` ids, ``Attribute`` attrs (except
+    attributes of numpy) and, when ``with_strings``, identifier-shaped
+    string constants (registries and ``getattr`` look names up by string)."""
     names = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
+            if not (isinstance(sub.value, ast.Name) and sub.value.id in _FOREIGN_MODULES):
+                names.add(sub.attr)
         elif with_strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
             if sub.value.isidentifier():
                 names.add(sub.value)
