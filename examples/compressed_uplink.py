@@ -2,9 +2,11 @@
 
 Wraps the federated simulation with an uplink transport that compresses
 every Delta_i^t (top-k sparsification or stochastic quantisation), then
-compares accuracy and uplink traffic across compressors.  This models the
-network-dominated regime the paper discusses, where bytes-per-round — not
-client compute — governs time-to-accuracy.
+compares accuracy and traffic across compressors.  The bytes are read from
+the run's history, where every round records what each direction cost;
+the transmission time is those uplink bytes over an assumed bandwidth.
+This models the network-dominated regime the paper discusses, where
+bytes-per-round — not client compute — governs time-to-accuracy.
 
 Usage::
 
@@ -18,6 +20,9 @@ from repro.analysis import render_table
 from repro.comm import NoCompression, QuantizationCompressor, TopKCompressor, Transport
 from repro.experiments import ExperimentConfig, build_environment, make_clients
 from repro.fl import FederatedSimulation
+
+#: Assumed uplink bandwidth for the transmission-time column.
+BANDWIDTH_BYTES_PER_SECOND = 1_000_000
 
 COMPRESSORS = (
     ("dense", NoCompression()),
@@ -44,7 +49,6 @@ def main() -> None:
             rng=np.random.default_rng(config.seed),
             width_multiplier=config.width_multiplier,
         )
-        transport = Transport(compressor, bandwidth_bytes_per_second=1_000_000)
         simulation = FederatedSimulation(
             model=model,
             clients=make_clients(env),
@@ -55,17 +59,18 @@ def main() -> None:
                 detect_freeloaders=False,
             ),
             test_set=env.bundle.test,
-            transport=transport,
+            transport=Transport(compressor),
             seed=config.seed,
         )
-        result = simulation.run(config.rounds)
-        uplink = sum(transport.uplink_seconds(r) for r in range(config.rounds))
+        history = simulation.run(config.rounds).history
+        total_bytes = history.total_uplink_bytes + history.total_downlink_bytes
+        uplink_seconds = history.total_uplink_bytes / BANDWIDTH_BYTES_PER_SECOND
         rows.append(
             [
                 label,
-                f"{result.history.best_accuracy:.1%}",
-                f"{transport.log.total_bytes / 1e6:.2f} MB",
-                f"{uplink:.2f}s @1MB/s",
+                f"{history.best_accuracy:.1%}",
+                f"{total_bytes / 1e6:.2f} MB",
+                f"{uplink_seconds:.2f}s @1MB/s",
             ]
         )
 

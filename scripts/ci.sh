@@ -33,7 +33,7 @@ echo "==> telemetry smoke run (2-round TACO, JSONL trace to out/trace.jsonl)"
 python -m repro.cli run \
     --dataset adult --algorithm taco --clients 6 --rounds 2 \
     --train-size 200 --test-size 80 \
-    --track-traffic --drop-rate 0.3 --corrupt-rate 0.1 \
+    --drop-rate 0.3 --corrupt-rate 0.1 \
     --telemetry jsonl:out/trace.jsonl --json > /dev/null
 python - <<'PY'
 import json
@@ -56,16 +56,17 @@ required = {
 missing = required - names
 assert not missing, f"trace missing metrics: {missing}"
 
-diagnostics = [e["fields"] for e in events if e.get("name") == "algo.diagnostics"]
-assert [d["round"] for d in diagnostics] == [0, 1], (
-    f"expected one algo.diagnostics event per round, got {len(diagnostics)}"
+rounds = [e["fields"] for e in events if e.get("name") == "round.record"]
+assert [r["round"] for r in rounds] == [0, 1], (
+    f"expected one round.record event per round, got {len(rounds)}"
 )
-for fields in diagnostics:
-    alphas = fields["per_client"].get("taco.alpha")
+for fields in rounds:
+    alphas = fields["alphas"]
     assert alphas, f"round {fields['round']} carries no per-client TACO alpha"
     assert all(0.0 <= a <= 1.0 for a in alphas.values()), alphas
+    assert fields["uplink_bytes"] > 0 and fields["downlink_bytes"] > 0, fields["round"]
 print(f"telemetry smoke ok: {len(events)} events, {len(names)} metric names, "
-      f"{len(diagnostics)} algo.diagnostics events")
+      f"{len(rounds)} round.record events")
 PY
 
 echo "==> introspection + run-record smoke (report + self-diff)"
@@ -136,6 +137,16 @@ assert out["virtual_time"] > 0, "virtual clock never advanced"
 print("federation smoke ok:", {k: out[k] for k in
       ("population", "cohort_size", "buffer_size", "mean_staleness")})
 '
+python - <<'PY'
+import glob, json
+
+paths = glob.glob("out/federation/*/runrecord.json")
+assert paths, "federation smoke wrote no run record"
+for path in paths:
+    traffic = json.load(open(path))["traffic"]
+    assert traffic["uplink_bytes"] > 0, f"perfect-wire run billed no uplink bytes: {traffic}"
+print("federation bytes ok:", traffic)
+PY
 python -m repro.cli report out/federation/*/runrecord.json --ascii > /dev/null
 
 echo "==> network chaos smoke (graded loss grid + determinism invariants)"

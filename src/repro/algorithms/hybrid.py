@@ -23,17 +23,9 @@ from typing import Any, Dict, Mapping, Sequence
 import numpy as np
 
 from ..fl.state import ClientUpdate, ServerState
-from ..telemetry import get_telemetry
 from .fedprox import FedProx
 from .scaffold import Scaffold
 from .taco import INITIAL_ALPHA, TACO
-
-
-def _publish_tailored_alphas(alphas: Mapping[int, float]) -> None:
-    """Publish a hybrid's Eq. 7 coefficients into the round's diagnostics."""
-    telemetry = get_telemetry()
-    if telemetry.enabled and alphas:
-        telemetry.per_client("taco.alpha", dict(alphas))
 
 
 def _tailored_scales(alphas: Mapping[int, float]) -> Dict[int, float]:
@@ -73,7 +65,6 @@ class TailoredFedProx(FedProx):
         alphas = TACO.compute_alphas(updates)
         self.last_alphas = dict(alphas)
         self._scales = _tailored_scales(alphas)
-        _publish_tailored_alphas(self.last_alphas)
 
 
 class TailoredScaffold(Scaffold):
@@ -118,4 +109,3 @@ class TailoredScaffold(Scaffold):
         alphas = TACO.compute_alphas(updates)
         self.last_alphas = dict(alphas)
         self._scales = _tailored_scales(alphas)
-        _publish_tailored_alphas(self.last_alphas)

@@ -199,21 +199,16 @@ class TACO(Strategy):
         self.last_alphas = dict(self._alphas)
         telemetry = get_telemetry()
         if telemetry.enabled:
-            # Eq. 7's two ingredients per client: correction-vector norms
-            # and drift cosines against the round's mean update.
+            # Eq. 7's direction ingredient: each client's drift cosine
+            # against the round's mean update.  The alphas themselves and
+            # the update norms are on the round's record.
             mean_delta = np.zeros_like(updates[0].delta)
             for update in updates:
                 mean_delta += update.delta / len(updates)
-            telemetry.per_client("taco.alpha", self._alphas)
-            telemetry.per_client(
-                "taco.update_norm",
-                {u.client_id: float(np.linalg.norm(u.delta)) for u in updates},
-            )
             telemetry.per_client(
                 "taco.drift_cosine",
                 {u.client_id: cosine_similarity(u.delta, mean_delta) for u in updates},
             )
-            telemetry.scalar("taco.mean_alpha", self.mean_alpha())
 
         if self.use_tailored_aggregation:
             weights = [self._alphas[u.client_id] for u in updates]
@@ -242,7 +237,6 @@ class TACO(Strategy):
             # against lambda = T/5; at reduced scale it must be excluded.)
             return
         threshold_hits = 0
-        expelled_now = 0
         for update in updates:
             if self._alphas.get(update.client_id, 0.0) >= self.kappa:
                 threshold_hits += 1
@@ -250,14 +244,12 @@ class TACO(Strategy):
                 self._strikes[update.client_id] = strikes
                 if strikes >= self.expulsion_limit:
                     self._expelled.add(update.client_id)
-                    expelled_now += 1
         telemetry = get_telemetry()
         if telemetry.enabled:
             # Eq. 10's freeloader scoreboard: how many alphas crossed kappa
-            # this round, the accumulated strike counts, and expulsions.
+            # this round and the accumulated strike counts (the expulsions
+            # are on the round's record).
             telemetry.scalar("taco.threshold_hits", float(threshold_hits))
-            telemetry.scalar("taco.expelled_this_round", float(expelled_now))
-            telemetry.scalar("taco.expelled_total", float(len(self._expelled)))
             if self._strikes:
                 telemetry.per_client(
                     "taco.strikes", {cid: float(n) for cid, n in self._strikes.items()}

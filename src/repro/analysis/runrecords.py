@@ -2,15 +2,18 @@
 
 These helpers sit between :mod:`repro.runrecord` (schema + IO) and the
 renderers (``repro report`` / ``repro diff``): load one or more records,
-pull out per-round series — accuracy, loss, any ``diagnostics`` scalar, and
-min/mean/max envelopes over per-client channels — and flatten a record's
-headline numbers for field-by-field comparison.
+pull out per-round series — accuracy, loss, expulsions, any
+``diagnostics`` scalar, and min/mean/max envelopes over per-client
+channels — and flatten a record's headline numbers for field-by-field
+comparison.  What a round's record holds (alpha_i, update norms,
+expulsions) is read from ``rounds``; only what it lacks comes from
+``diagnostics``.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +49,11 @@ def sim_time_series(record: Dict[str, Any]) -> List[float]:
     return [float(entry["round_sim_time"]) for entry in record["rounds"]]
 
 
+def expelled_series(record: Dict[str, Any]) -> List[float]:
+    """Clients expelled so far (Eq. 10), one running total per round."""
+    return np.cumsum([len(entry["expelled"]) for entry in record["rounds"]]).tolist()
+
+
 def scalar_series(record: Dict[str, Any], name: str) -> Tuple[List[int], List[float]]:
     """(rounds, values) for one diagnostics scalar; empty when never published."""
     rounds: List[int] = []
@@ -60,21 +68,30 @@ def scalar_series(record: Dict[str, Any], name: str) -> Tuple[List[int], List[fl
 def per_client_envelope(
     record: Dict[str, Any], name: str
 ) -> Dict[str, Tuple[List[int], List[float]]]:
-    """min/mean/max series over one per-client diagnostics channel.
+    """min/mean/max series over one per-client channel.
 
+    ``name`` is ``"alphas"`` (TACO's alpha_i, a field of every round) or
+    a per-client diagnostics channel (``taco.drift_cosine``, ...).
     Returns ``{"min": (rounds, values), "mean": ..., "max": ...}``; all
-    three are empty when the channel was never published.
+    three are empty when no round carries the channel.
     """
+    entries: Iterable[Tuple[Any, Dict[str, Any]]]
+    if name == "alphas":
+        entries = ((entry["round"], entry.get(name, {})) for entry in record["rounds"])
+    else:
+        entries = (
+            (entry["round"], entry.get("per_client", {}).get(name, {}))
+            for entry in record.get("diagnostics", [])
+        )
     rounds: List[int] = []
     mins: List[float] = []
     means: List[float] = []
     maxs: List[float] = []
-    for entry in record.get("diagnostics", []):
-        channel = entry.get("per_client", {}).get(name, {})
+    for round_index, channel in entries:
         if not channel:
             continue
         values = np.array([float(v) for v in channel.values()])
-        rounds.append(int(entry["round"]))
+        rounds.append(int(round_index))
         mins.append(float(values.min()))
         means.append(float(values.mean()))
         maxs.append(float(values.max()))

@@ -146,10 +146,6 @@ def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
         help="exporter spec (repeatable): jsonl:PATH, prom:PATH or console",
     )
     group.add_argument(
-        "--track-traffic", action="store_true",
-        help="route uploads through an identity Transport to count bytes",
-    )
-    group.add_argument(
         "--introspect", action="store_true",
         help="collect per-round algorithm diagnostics (alpha_i, drift "
         "cosines, live Y_t) into the run record; --telemetry does too",
@@ -275,11 +271,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"invalid fault/degradation/telemetry arguments: {error}", file=sys.stderr)
         return 2
-    transport = None
-    if args.track_traffic:
-        from .comm import NoCompression, Transport
-
-        transport = Transport(NoCompression(), seed=config.seed)
     try:
         with contextlib.ExitStack() as stack:
             if exporters or args.introspect:
@@ -291,7 +282,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                 args.algorithm,
                 fault_plan=fault_plan,
                 degradation=degradation,
-                transport=transport,
                 guard=guard,
                 checkpoint_every=args.checkpoint_every,
                 checkpoint_dir=args.checkpoint_dir,

@@ -1,4 +1,4 @@
-"""Communication substrate: compression operators and transport accounting."""
+"""Communication substrate: compression operators and the uplink transport."""
 
 from .compression import (
     CompressedUpdate,
@@ -7,7 +7,7 @@ from .compression import (
     QuantizationCompressor,
     TopKCompressor,
 )
-from .transport import TrafficLog, Transport
+from .transport import Transport
 
 __all__ = [
     "Compressor",
@@ -16,5 +16,4 @@ __all__ = [
     "QuantizationCompressor",
     "TopKCompressor",
     "Transport",
-    "TrafficLog",
 ]

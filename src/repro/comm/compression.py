@@ -10,8 +10,8 @@ family as composable operators over the flat update vectors:
 - :class:`QuantizationCompressor` — uniform b-bit stochastic quantisation;
 - :class:`TopKCompressor` — keep the k largest-magnitude coordinates.
 
-Every compressor reports the bytes its encoded form would occupy so the
-simulation can track per-round traffic.
+Every compressor reports the bytes its encoded form would occupy, in the
+vector's own dtype, so the round engine can charge each upload its wire size.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Tuple
 
 import numpy as np
 
-FLOAT_BYTES = 8  # float64 payloads
 INDEX_BYTES = 4  # uint32 coordinate indices
 
 
@@ -41,9 +40,10 @@ class Compressor:
     def compress(self, vector: np.ndarray, rng: np.random.Generator) -> CompressedUpdate:
         raise NotImplementedError
 
-    @staticmethod
-    def dense_bytes(vector: np.ndarray) -> int:
-        return vector.size * FLOAT_BYTES
+    def wire_bytes(self, vector: np.ndarray) -> int:
+        """Bytes the encoding of ``vector`` occupies, without touching any
+        caller's RNG stream (the size never depends on the random draws)."""
+        return self.compress(vector, np.random.default_rng(0)).payload_bytes
 
 
 class NoCompression(Compressor):
@@ -52,7 +52,7 @@ class NoCompression(Compressor):
     name = "none"
 
     def compress(self, vector: np.ndarray, rng: np.random.Generator) -> CompressedUpdate:
-        return CompressedUpdate(vector.copy(), self.dense_bytes(vector))
+        return CompressedUpdate(vector.copy(), int(vector.nbytes))
 
 
 class QuantizationCompressor(Compressor):
@@ -60,7 +60,7 @@ class QuantizationCompressor(Compressor):
 
     Values are mapped onto 2^bits levels spanning [min, max]; stochastic
     rounding keeps the operator unbiased.  Wire cost: bits/8 per coordinate
-    plus the two float range parameters.
+    plus the two range parameters in the vector's dtype.
     """
 
     name = "quantize"
@@ -74,15 +74,16 @@ class QuantizationCompressor(Compressor):
         low = float(vector.min(initial=0.0))
         high = float(vector.max(initial=0.0))
         levels = (1 << self.bits) - 1
+        range_bytes = 2 * vector.itemsize
         if high - low < 1e-12:
-            return CompressedUpdate(vector.copy(), 2 * FLOAT_BYTES)
+            return CompressedUpdate(vector.copy(), range_bytes)
         scaled = (vector - low) / (high - low) * levels
         floor = np.floor(scaled)
         # Stochastic rounding: round up with probability equal to the
         # fractional part, making the quantiser unbiased.
         rounded = floor + (rng.random(vector.shape) < (scaled - floor))
         decoded = rounded / levels * (high - low) + low
-        payload = int(np.ceil(vector.size * self.bits / 8)) + 2 * FLOAT_BYTES
+        payload = int(np.ceil(vector.size * self.bits / 8)) + range_bytes
         return CompressedUpdate(decoded, payload)
 
 
@@ -102,8 +103,8 @@ class TopKCompressor(Compressor):
     def compress(self, vector: np.ndarray, rng: np.random.Generator) -> CompressedUpdate:
         k = self._k(vector.size)
         if k >= vector.size:
-            return CompressedUpdate(vector.copy(), self.dense_bytes(vector))
+            return CompressedUpdate(vector.copy(), int(vector.nbytes))
         keep = np.argpartition(np.abs(vector), -k)[-k:]
         sparse = np.zeros_like(vector)
         sparse[keep] = vector[keep]
-        return CompressedUpdate(sparse, k * (FLOAT_BYTES + INDEX_BYTES))
+        return CompressedUpdate(sparse, k * (vector.itemsize + INDEX_BYTES))

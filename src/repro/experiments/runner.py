@@ -195,7 +195,6 @@ def run_algorithm(
     cost_model: Optional[CostModel] = None,
     fault_plan=None,
     degradation=None,
-    transport=None,
     guard=None,
     checkpoint_every: int = 0,
     checkpoint_dir=None,
@@ -214,7 +213,6 @@ def run_algorithm(
         and cost_model is None
         and fault_plan is None
         and degradation is None
-        and transport is None
         and guard is None
         and not checkpoint_every
         and resume_from is None
@@ -244,7 +242,6 @@ def run_algorithm(
         cost_model=cost_model or CostModel(),
         eval_every=config.eval_every,
         seed=config.seed,
-        transport=transport,
         fault_plan=fault_plan,
         degradation=degradation,
         guard=guard,

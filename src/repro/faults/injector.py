@@ -12,6 +12,11 @@ The injector has two hook points, mirroring where real FL failures occur:
    compute time, and simulates transient upload errors under the server's
    retry/backoff policy (an upload failing more than ``retry_limit`` times
    is lost).
+
+What the injector did lands in a :class:`RoundFaultLog`, and from there on
+the round's :class:`~repro.fl.history.RoundRecord`; the ``agg.*`` counters
+are published from that record.  Only what no record field holds (a
+straggler slowdown, a corruption mode) is counted here.
 """
 
 from __future__ import annotations
@@ -87,8 +92,6 @@ class FaultInjector:
                 log.crashed.append(cid)
             else:
                 survivors.append(cid)
-        if log.crashed:
-            get_telemetry().counter("faults.crashed").add(len(log.crashed))
         return survivors
 
     def process_updates(
@@ -117,13 +120,11 @@ class FaultInjector:
                 policy = self.plan.retry_policy
                 attempts = min(decision.transient_failures, policy.max_attempts)
                 log.retries[update.client_id] = attempts
-                telemetry.counter("faults.retry_attempts").add(attempts)
                 # Exponential backoff charged to the client's round time —
                 # the same RetryPolicy the network transport layer uses.
                 update.sim_time += policy.total_backoff(attempts)
                 if decision.transient_failures > self.plan.retry_limit:
                     log.lost_after_retries.append(update.client_id)
-                    telemetry.counter("faults.lost_after_retries").add(1)
                     continue
 
             delivered.append(update)

@@ -141,7 +141,10 @@ class FlushEvent:
 class FlushTally:
     """What happened to dispatches between two flushes; feeds the RoundRecord.
 
-    Everything but ``abandoned`` stays empty on the perfect-wire path.
+    Bytes are charged at dispatch by the engines' one rule: every dispatch
+    costs one downlink copy of the global parameters, every send attempt
+    (retries and duplicate copies included) one uplink payload.  Beside
+    ``abandoned`` and the bytes, everything stays empty on the perfect wire.
     """
 
     abandoned: List[int] = field(default_factory=list)  # straggler deadline
@@ -331,6 +334,7 @@ class AsyncCoordinator(RoundEngine):
         ):
             broadcast = self.strategy.broadcast(state)
             global_params = state.global_params
+            self._since_flush.downlink_bytes += global_params.nbytes * len(selected)
             for client_id in selected:
                 payload = self.strategy.client_payload(client_id, state, broadcast)
                 client = self.registry.materialize(client_id)
@@ -340,9 +344,8 @@ class AsyncCoordinator(RoundEngine):
                 self.registry.release(client)
                 if deadline is not None and update.sim_time > deadline:
                     # Straggler abandonment: the server will not wait for
-                    # this upload; the device's work is lost.
+                    # this upload; the device's work is lost, never sent.
                     self._since_flush.abandoned.append(client_id)
-                    telemetry.counter("federation.abandoned").add(1)
                     if telemetry.enabled:
                         end = self._clock + update.sim_time
                         self._trace(
@@ -353,6 +356,7 @@ class AsyncCoordinator(RoundEngine):
                 if self._network_model is not None:
                     enqueued += self._dispatch_networked(client_id, state.round, update)
                     continue
+                self._since_flush.uplink_bytes += update.delta.nbytes
                 self._push_event(
                     client_id, state.round, self._clock + update.sim_time, update,
                     delivery_id=-1, compute_start=self._clock,
@@ -457,9 +461,6 @@ class AsyncCoordinator(RoundEngine):
             delivery_id, client_id, self._clock, update.sim_time
         )
         self._count_delivery("dispatched")
-        self._since_flush.downlink_bytes += int(
-            self.server.state.global_params.nbytes
-        )
         payload_bytes = int(update.delta.nbytes)
         # Every send attempt (retries included) burns uplink bytes, even
         # the ones the wire drops — that is what retry traffic costs.
@@ -471,7 +472,6 @@ class AsyncCoordinator(RoundEngine):
             # at lease expiry (or, lease-less, at the client's give-up
             # time) — either way a lease event keeps the pool from leaking.
             self._count_delivery("lost")
-            telemetry.counter("network.lost").add(1)
             learns_at = (
                 self._clock + plan.lease_timeout
                 if plan.lease_timeout is not None
@@ -496,10 +496,8 @@ class AsyncCoordinator(RoundEngine):
                 self._since_flush.retried.get(client_id, 0) + retried
             )
             self._count_delivery("retried", retried)
-            telemetry.counter("network.retries").add(retried)
         if outcome.held_by_partition:
             self._count_delivery("partition_held")
-            telemetry.counter("network.partition_held").add(1)
 
         self._push_event(
             client_id, version, outcome.arrival_time, update, delivery_id,
@@ -511,7 +509,6 @@ class AsyncCoordinator(RoundEngine):
             # it needs no payload — only the id the server deduplicates on.
             self._since_flush.uplink_bytes += payload_bytes
             self._count_delivery("duplicate_copies")
-            telemetry.counter("network.duplicates").add(1)
             self._push_event(
                 client_id, version, outcome.duplicate_time, None, delivery_id,
                 duplicate=True,
@@ -539,7 +536,6 @@ class AsyncCoordinator(RoundEngine):
         if pending.delivery_id < 0:  # perfect-wire path
             self._buffer.append(pending)
             return True
-        telemetry = get_telemetry()
         if pending.kind == "lease":
             if (
                 pending.delivery_id in self._delivered
@@ -557,22 +553,20 @@ class AsyncCoordinator(RoundEngine):
                 # arrive (and will then be rejected as late).
                 self._since_flush.quarantined[pending.client_id] = REASON_LOST
                 self._count_delivery("lease_expired")
-                telemetry.counter("network.lease_expired").add(1)
             return False
         if pending.delivery_id in self._revoked:
             if not pending.duplicate:
                 self._since_flush.quarantined[pending.client_id] = REASON_LATE
+                telemetry = get_telemetry()
                 if telemetry.enabled and pending.compute_start is not None:
                     self._trace_pending(telemetry, pending, pending.arrival_time, "late")
             self._count_delivery("late")
-            telemetry.counter("network.late").add(1)
             return False
         if pending.delivery_id in self._delivered:
             # At-least-once copy of an already-accepted delivery: idempotent
             # aggregation means it never reaches the buffer.
             self._since_flush.duplicated.append(pending.client_id)
             self._count_delivery("deduplicated")
-            telemetry.counter("network.deduplicated").add(1)
             return False
         self._delivered.add(pending.delivery_id)
         self._count_delivery("delivered")
@@ -644,13 +638,9 @@ class AsyncCoordinator(RoundEngine):
             updates.append(pending.update.scaled(weight))
             if telemetry.enabled:
                 telemetry.histogram("federation.staleness").observe(float(tau))
-        if stale_dropped:
-            telemetry.counter("federation.stale_dropped").add(len(stale_dropped))
 
         updates, gate_quarantined, skipped = self._aggregate(round_index, updates)
         quarantined.update(gate_quarantined)
-        telemetry.counter("federation.flushes").add(1)
-        telemetry.counter("federation.arrived").add(len(batch))
 
         if telemetry.enabled:
             flushed = []  # stage durations of the traced, aggregated deliveries

@@ -9,7 +9,7 @@ engine (:class:`~repro.fl.engine.RoundEngine`): server state, model
 buffers, strategy state (control variates, momenta, TACO alphas and
 strikes), the round and evaluation counters and the training history.
 Each engine adds its own state on top — :func:`save_simulation` the RNG
-streams, transport log and guard; ``repro.federation.persist`` the event
+streams and guard; ``repro.federation.persist`` the event
 loop — so a killed run resumes **bit-exact** at the next round boundary.
 """
 
@@ -223,8 +223,8 @@ def restore_run(
 def save_simulation(simulation, directory: str | Path) -> Path:
     """Checkpoint a :class:`~repro.fl.simulation.FederatedSimulation`.
 
-    Writes ``arrays.npz`` (server vectors, model buffers, strategy arrays,
-    transport byte log), ``meta.json`` (round counters, RNG streams,
+    Writes ``arrays.npz`` (server vectors, model buffers, strategy
+    arrays), ``meta.json`` (round counters, RNG streams,
     strategy scalars) and ``history.json`` into ``directory``.  Safe to
     call at any round boundary; later checkpoints overwrite earlier ones.
     """
@@ -237,14 +237,7 @@ def save_simulation(simulation, directory: str | Path) -> Path:
         },
     }
     if simulation.transport is not None:
-        log = simulation.transport.log
         rng_states["transport"] = simulation.transport.rng.bit_generator.state
-        arrays[f"transport{STATE_SEP}uplink_bytes_per_round"] = np.asarray(
-            log.uplink_bytes_per_round, dtype=np.int64
-        )
-        arrays[f"transport{STATE_SEP}downlink_bytes_per_round"] = np.asarray(
-            log.downlink_bytes_per_round, dtype=np.int64
-        )
     meta: Dict[str, Any] = {"num_clients": len(simulation.clients), "rng_states": rng_states}
 
     if simulation.recovery is not None:
@@ -271,8 +264,8 @@ def load_simulation(simulation, directory: str | Path) -> int:
 
     The simulation must be constructed identically to the checkpointed one
     (same clients, strategy type, seeds); everything mutable — server
-    vectors, model buffers, strategy state, RNG streams, transport log,
-    history — is overwritten so the next round replays exactly as it would
+    vectors, model buffers, strategy state, RNG streams, history — is
+    overwritten so the next round replays exactly as it would
     have in the uninterrupted run.
     """
     meta = read_meta(directory, "sync")
@@ -293,15 +286,6 @@ def load_simulation(simulation, directory: str | Path) -> int:
 
     if simulation.transport is not None and "transport" in meta["rng_states"]:
         simulation.transport.rng.bit_generator.state = meta["rng_states"]["transport"]
-        transport_arrays = groups.get("transport", {})
-        # Older checkpoints stored only the (uplink) "bytes_per_round" array.
-        uplink = transport_arrays.get(
-            "uplink_bytes_per_round", transport_arrays.get("bytes_per_round", [])
-        )
-        simulation.transport.log.uplink_bytes_per_round = [int(b) for b in uplink]
-        simulation.transport.log.downlink_bytes_per_round = [
-            int(b) for b in transport_arrays.get("downlink_bytes_per_round", [])
-        ]
 
     if simulation.recovery is not None:
         if "guard_scalars" in meta:

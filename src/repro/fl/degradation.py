@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..telemetry import get_telemetry
 from .state import ClientUpdate
 
 #: Quarantine reasons recorded in RoundRecord.quarantined.
@@ -131,11 +130,6 @@ def validate_updates(
                 else:
                     survivors.append(update)
             accepted = survivors
-
-    if quarantined:
-        telemetry = get_telemetry()
-        for reason in quarantined.values():
-            telemetry.counter("degradation.quarantine", reason=reason).add(1)
     return accepted, quarantined
 
 
@@ -147,6 +141,4 @@ def split_stragglers(
         return list(updates), []
     on_time = [u for u in updates if u.sim_time <= deadline]
     late = sorted(u.client_id for u in updates if u.sim_time > deadline)
-    if late:
-        get_telemetry().counter("degradation.deadline_misses").add(len(late))
     return on_time, late

@@ -5,9 +5,15 @@ start fresh or resume bit-exact from a checkpoint, close rounds until the
 server reaches the requested version, stop on divergence, checkpoint on a
 cadence, then report final and output metrics.  Every closed round passes
 the same quarantine/quorum gate, aggregates, follows the same evaluation
-cadence, and publishes the same :class:`RoundRecord` and telemetry; the
-round's algorithm diagnostics ride on its record, so checkpoints, resumes
-and guard rollbacks keep them in step with the rounds.
+cadence, and fills the same :class:`RoundRecord`, the one ledger of a
+round: who took part, what the algorithm decided (alpha_i, expulsions),
+what the faults and the network did, and the bytes each direction cost.
+While telemetry is on, every counter whose value is a record field is
+published from the record, and each closed round is streamed as one
+``round.record`` event carrying the record with its algorithm diagnostics
+nested, so metrics, trace and history cannot disagree.  The diagnostics
+ride on the record, so checkpoints, resumes and guard rollbacks keep them
+in step with the rounds.
 
 :class:`RoundEngine` owns that lifecycle once.  Its subclasses differ only
 in how a round's updates arrive:
@@ -24,6 +30,7 @@ share one on-disk core as well.
 
 from __future__ import annotations
 
+import collections
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -186,10 +193,16 @@ class RoundEngine:
 
         run_started = time.perf_counter()
         diverged = False
+        # A round is streamed once the next one has closed (the last one
+        # after the final evaluation), so its event is the record the
+        # history keeps, after the guard has answered.
+        unstreamed: Optional[RoundRecord] = None
         while self.server.state.round < rounds and not self._all_expelled():
             record = self._step()
             if record is None:
                 continue
+            self._stream(unstreamed)
+            unstreamed = record
             if self._diverged(record):
                 diverged = True
                 break
@@ -200,6 +213,7 @@ class RoundEngine:
                 save(self, checkpoint_dir)
 
         result = self._result(run_started, diverged)
+        self._stream(unstreamed)
         if record_path is not None:
             from ..runrecord import build_run_record, write_run_record
 
@@ -293,10 +307,10 @@ class RoundEngine:
         round_sim: float,
         **fields,
     ) -> RoundRecord:
-        """Record the round, then publish its telemetry and keep its diagnostics.
+        """Record the round; while telemetry is on, publish it and keep its diagnostics.
 
         ``fields`` are the engine-specific :class:`RoundRecord` fields
-        (participants, faults, traffic).  Expulsions are ``strategy.expelled``
+        (participants, faults, bytes).  Expulsions are ``strategy.expelled``
         minus history's: resume and rollback restore both, so each shows once.
         """
         expelled = self.strategy.expelled
@@ -319,33 +333,19 @@ class RoundEngine:
         self.history.append(record)
 
         telemetry = get_telemetry()
-        telemetry.histogram("round.wall_seconds").observe(record.round_wall_time)
-        telemetry.histogram("round.sim_seconds").observe(round_sim)
-        telemetry.counter("agg.quarantined").add(len(record.quarantined))
-        telemetry.counter("agg.stragglers").add(len(record.stragglers))
-        telemetry.counter("agg.dropped").add(len(record.dropped))
-        telemetry.counter("agg.aggregated").add(record.aggregated)
-        if record.skipped:
-            telemetry.counter("agg.skipped_rounds").add(1)
-        if record.expelled:
-            telemetry.counter("agg.expelled").add(len(record.expelled))
         if telemetry.enabled:
+            _publish_counters(telemetry, record)
             self._publish_diagnostics(telemetry, record, updates)
             record.diagnostics = telemetry.end_round()
         return record
 
     def _publish_diagnostics(self, telemetry, record, updates) -> None:
-        """Publish server-side diagnostics (and the live theory proxies).
+        """Publish what the record lacks: ‖Δ_t‖ and the live theory proxies.
 
-        Runs only when telemetry is enabled, so the default path does no
-        extra arithmetic.  The theory proxies need a coefficient assignment,
-        so they are published only for strategies exposing ``last_alphas``
-        (TACO and its Fig. 6 hybrids).
+        The theory proxies need a coefficient assignment, so they are
+        published only for strategies exposing ``last_alphas`` (TACO, its
+        Fig. 6 hybrids and a defence wrapping either).
         """
-        telemetry.scalar("server.test_accuracy", record.test_accuracy)
-        telemetry.scalar("server.test_loss", record.test_loss)
-        telemetry.scalar("server.aggregated", float(record.aggregated))
-        telemetry.per_client("server.update_norm", dict(record.update_norms))
         if record.skipped:
             return
         delta = self.server.state.global_delta
@@ -359,3 +359,32 @@ class RoundEngine:
                 local_lr=self.strategy.local_lr,
             ).items():
                 telemetry.scalar(name, value)
+
+    @staticmethod
+    def _stream(record: Optional[RoundRecord]) -> None:
+        """Emit one closed round as a ``round.record`` event (diagnostics nested)."""
+        telemetry = get_telemetry()
+        if record is not None and telemetry.enabled:
+            telemetry.event("round.record", **record.to_dict())
+
+
+def _publish_counters(telemetry, record: RoundRecord) -> None:
+    """Publish every counter whose value is a field of ``record``.
+
+    Each is a projection of the record, so over a session the counters sum
+    to the history's totals, plus the rounds a guard rolled back out of it.
+    """
+    telemetry.histogram("round.wall_seconds").observe(record.round_wall_time)
+    telemetry.histogram("round.sim_seconds").observe(record.round_sim_time)
+    telemetry.counter("agg.aggregated").add(record.aggregated)
+    telemetry.counter("agg.dropped").add(len(record.dropped))
+    telemetry.counter("agg.stragglers").add(len(record.stragglers))
+    telemetry.counter("agg.skipped_rounds").add(int(record.skipped))
+    telemetry.counter("agg.expelled").add(len(record.expelled))
+    telemetry.counter("agg.retries").add(sum(record.retries.values()))
+    for reason, count in collections.Counter(record.quarantined.values()).items():
+        telemetry.counter("agg.quarantined", reason=reason).add(count)
+    for outcome, count in record.deliveries.items():
+        telemetry.counter("network.deliveries", outcome=outcome).add(count)
+    telemetry.counter("transport.uplink_bytes").add(record.uplink_bytes)
+    telemetry.counter("transport.downlink_bytes").add(record.downlink_bytes)

@@ -16,7 +16,12 @@ _CLIENT_KEYED = ("alphas", "update_norms", "quarantined", "retries")
 
 @dataclass
 class RoundRecord:
-    """Everything recorded about one communication round."""
+    """Everything recorded about one communication round: its one ledger.
+
+    Both engines fill it by the same rules, and the telemetry counters, the
+    ``round.record`` trace event, the run record and the reports are all
+    read from it.
+    """
 
     round: int
     test_accuracy: float
@@ -38,9 +43,11 @@ class RoundRecord:
     deliveries: Dict[str, int] = field(default_factory=dict)  # outcome -> count
     aggregated: int = 0  # updates that actually reached the strategy
     skipped: bool = False  # True when quorum failed and the step was skipped
-    # Transport accounting (repro.comm; zero when no Transport is attached):
-    uplink_bytes: int = 0  # client -> server upload bytes this round
-    downlink_bytes: int = 0  # server -> client broadcast bytes this round
+    # Bytes on the wire, on every run: one copy of w_t to each client that
+    # starts local work, one payload (compressed under a repro.comm
+    # Transport) per upload send attempt, retries and duplicates included.
+    uplink_bytes: int = 0  # client -> server bytes this round
+    downlink_bytes: int = 0  # server -> client bytes this round
     # Guard accounting (repro.guard; empty when no guard is attached):
     anomalies: List[str] = field(default_factory=list)  # anomaly kinds observed
     recovery: Optional[str] = None  # action applied after this round, if any
@@ -161,7 +168,7 @@ class TrainingHistory:
         return expelled
 
     # ------------------------------------------------------------------
-    # Traffic accounting (repro.comm)
+    # Traffic accounting
     # ------------------------------------------------------------------
     @property
     def total_uplink_bytes(self) -> int:

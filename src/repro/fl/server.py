@@ -6,7 +6,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..telemetry import get_telemetry
 from .state import ClientUpdate, ServerState
 
 
@@ -41,7 +40,6 @@ class Server:
         new_params = self.state.global_params - self.global_lr * delta
         strategy.post_round(self.state, updates)
         self.state.advance(new_params, delta)
-        get_telemetry().counter("server.rounds").add(1)
         return new_params
 
     def skip_round(self) -> np.ndarray:
@@ -49,5 +47,4 @@ class Server:
         self.state.advance(
             self.state.global_params.copy(), np.zeros_like(self.state.global_params)
         )
-        get_telemetry().counter("server.skipped_rounds").add(1)
         return self.state.global_params

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -67,8 +67,9 @@ class FederatedSimulation(RoundEngine):
     eval_every:
         Evaluate the global model every this many rounds (1 = every round).
     transport:
-        Optional :class:`repro.comm.Transport` applied to client uploads
-        (compression + traffic accounting) before aggregation.
+        Optional :class:`repro.comm.Transport` compressing client uploads
+        before aggregation; each upload is then charged its compressed
+        size in the round's ``uplink_bytes``.
     fault_plan:
         Optional :class:`repro.faults.FaultPlan` injecting client/transport
         failures into every round.
@@ -249,8 +250,6 @@ class FederatedSimulation(RoundEngine):
 
             with telemetry.span("broadcast", round=round_index, clients=len(runners)):
                 broadcast = self.strategy.broadcast(state)
-                if self.transport is not None:
-                    self.transport.process_broadcast(state.global_params, len(runners))
             global_params = state.global_params
 
             updates: List[ClientUpdate] = []
@@ -274,13 +273,10 @@ class FederatedSimulation(RoundEngine):
                     )
                     updates.append(update)
 
+            sent = updates  # every upload leaves its client at least once
             if self.fault_injector is not None:
                 updates = self.fault_injector.process_updates(round_index, updates, fault_log)
-
-            if self.transport is not None:
-                updates = self.transport.process_round(
-                    updates, retries=fault_log.retries
-                )
+            uplink_bytes = self._uplink_bytes(sent, updates, fault_log.retries)
 
             self._round_upload_anomalies = []
             if self.monitor is not None:
@@ -312,20 +308,45 @@ class FederatedSimulation(RoundEngine):
             quarantined=quarantined,
             stragglers=stragglers,
             retries=dict(fault_log.retries),
-            uplink_bytes=(
-                self.transport.log.uplink_bytes_per_round[-1]
-                if self.transport is not None
-                else 0
-            ),
-            downlink_bytes=(
-                self.transport.log.downlink_bytes_per_round[-1]
-                if self.transport is not None
-                else 0
-            ),
+            uplink_bytes=uplink_bytes,
+            downlink_bytes=global_params.nbytes * len(runners),
             anomalies=[a.kind for a in self._round_upload_anomalies],
         )
 
     # ------------------------------------------------------------------
+    def _uplink_bytes(
+        self,
+        sent: Sequence[ClientUpdate],
+        delivered: Sequence[ClientUpdate],
+        retries: Dict[int, int],
+    ) -> int:
+        """Compress the delivered uploads; return the bytes every send cost.
+
+        An upload costs its payload once per send attempt: a delivered one
+        its failed attempts (``retries``) plus the one that arrived, one
+        lost after retries only the failed ones.  The payload is the
+        transport's compressed size when one is attached, else the delta's.
+        """
+        payload: Dict[int, int] = {}
+        for update in delivered:
+            payload[update.client_id] = (
+                self.transport.compress(update)
+                if self.transport is not None
+                else update.delta.nbytes
+            )
+        total = 0
+        for update in sent:
+            size = payload.get(update.client_id)
+            if size is None:  # lost after retries, so never compressed
+                size = (
+                    self.transport.compressor.wire_bytes(update.delta)
+                    if self.transport is not None
+                    else update.delta.nbytes
+                )
+            attempts = retries.get(update.client_id, 0) + (update.client_id in payload)
+            total += size * attempts
+        return total
+
     def _over_select(self, active: Sequence[int], participating: List[int]) -> List[int]:
         """Add spare clients so the round survives drops with a quorum."""
         if self.degradation is None:

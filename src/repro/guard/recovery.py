@@ -37,7 +37,7 @@ import numpy as np
 
 from ..fl.degradation import DegradationPolicy
 from ..fl.history import RecoveryEvent, RoundRecord
-from ..telemetry import get_telemetry
+from ..telemetry import AlgoDiagnostics, get_telemetry
 from .anomaly import Anomaly
 from .policy import GuardPolicy
 
@@ -153,6 +153,9 @@ class RecoveryController:
                 self._apply_skip(simulation, record, last)
             elif action == ACTION_ROLLBACK:
                 self._apply_rollback(simulation)
+                # The rollback truncates this record from the history; the
+                # annotation reaches its streamed ``round.record`` event.
+                record.recovery = ACTION_ROLLBACK
             else:
                 # The aborting round's record survives (nothing to rewind
                 # to), so it carries the annotation.
@@ -193,15 +196,15 @@ class RecoveryController:
         record.test_loss = float(snap.test_loss)
         record.recovery = ACTION_SKIP
         simulation._last_evaluated_round = snap.last_evaluated_round
-        # The round's diagnostics were published from the poisoned model:
-        # describe the restored one, as a quorum-skipped round does (no
-        # step, so no global update norm).  The uploads' norms stay: they
-        # are what the clients sent.
-        diagnostics = record.diagnostics
-        if diagnostics is not None:
-            diagnostics.merge_scalar("server.test_accuracy", record.test_accuracy)
-            diagnostics.merge_scalar("server.test_loss", record.test_loss)
-            diagnostics.scalars.pop("server.global_delta_norm", None)
+        # The step was undone, so nothing computed from it describes the
+        # model the run continues from: like a quorum-skipped round, the
+        # record keeps no alphas and empty diagnostics.  The uploads' norms
+        # stay: they are what the clients sent.
+        record.alphas = {}
+        if record.diagnostics is not None:
+            record.diagnostics = AlgoDiagnostics(
+                round=record.round, algorithm=record.diagnostics.algorithm
+            )
 
     def _apply_rollback(self, simulation) -> None:
         """Rewind to the last good snapshot with server-lr backoff."""

@@ -18,6 +18,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..analysis.runrecords import (
     accuracy_series,
     delivery_series,
+    expelled_series,
     loss_series,
     per_client_envelope,
     record_label,
@@ -355,7 +356,7 @@ def render_html(
         )
     for record in records:
         label = record_label(record)
-        alpha = _envelope_series(record, "taco.alpha")
+        alpha = _envelope_series(record, "alphas")
         if alpha:
             panels.append(
                 _panel(
@@ -384,10 +385,10 @@ def render_html(
                     theory,
                 )
             )
-        freeloader = _scalar_panel_series(
-            record,
-            ["taco.threshold_hits", "taco.expelled_total"],
-        )
+        freeloader = _scalar_panel_series(record, ["taco.threshold_hits"])
+        expelled = expelled_series(record)
+        if freeloader or any(expelled):
+            freeloader.append(("expelled_total", _rounds_x(expelled), expelled))
         strikes = _envelope_series(record, "taco.strikes")
         if strikes:
             freeloader.extend(

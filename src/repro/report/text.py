@@ -2,8 +2,9 @@
 
 Renders the same panels as the HTML dashboard through
 :func:`repro.analysis.plot_series` multi-series charts: accuracy/loss
-overlays across records, and for each record with diagnostics the TACO
-α spread, drift cosines, live theory proxies and freeloader scores.
+overlays across records, each TACO record's α spread and expulsions (read
+from its rounds), and, for a record with diagnostics, drift cosines, live
+theory proxies and freeloader threshold hits.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from ..analysis.ascii_plot import plot_series
 from ..analysis.runrecords import (
     accuracy_series,
     delivery_series,
+    expelled_series,
     loss_series,
     per_client_envelope,
     record_label,
@@ -62,7 +64,7 @@ def render_ascii(records: List[Dict[str, Any]], title: str = "repro run report")
     for record in records:
         label = record_label(record)
         chart = _series_or_none(
-            _envelope_mapping(record, "taco.alpha"),
+            _envelope_mapping(record, "alphas"),
             title=f"alpha spread (Eq. 7) — {label}",
         )
         if chart:
@@ -82,10 +84,12 @@ def render_ascii(records: List[Dict[str, Any]], title: str = "repro run report")
         if chart:
             sections.append(chart)
         freeloader = {}
-        for name in ("taco.threshold_hits", "taco.expelled_total"):
-            _, values = scalar_series(record, name)
-            if values:
-                freeloader[name.split(".", 1)[-1]] = values
+        _, hits = scalar_series(record, "taco.threshold_hits")
+        if hits:
+            freeloader["threshold_hits"] = hits
+        expelled = expelled_series(record)
+        if freeloader or any(expelled):
+            freeloader["expelled_total"] = expelled
         chart = _series_or_none(freeloader, title=f"freeloader scores (Eq. 10) — {label}")
         if chart:
             sections.append(chart)

@@ -94,6 +94,12 @@ class AggregationDefence(Strategy):
         """The base algorithm's expelled ids."""
         return self.base.expelled
 
+    @property
+    def last_alphas(self) -> Dict[int, float]:
+        """The base algorithm's latest Eq. 7 coefficients (empty without any),
+        so a wrapped TACO keeps its alpha_i on the round's record."""
+        return getattr(self.base, "last_alphas", {})
+
     def final_output(self, state: ServerState) -> np.ndarray:
         return self.base.final_output(state)
 

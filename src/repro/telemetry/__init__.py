@@ -8,12 +8,13 @@ The subsystem has four parts (see ``docs/OBSERVABILITY.md``):
   (:mod:`repro.federation.tracing`), written whenever telemetry is on;
 - **metrics** — a :class:`MetricRegistry` of counters, gauges and
   histograms (``round.wall_seconds``, ``transport.uplink_bytes``,
-  ``agg.expelled``, ...);
+  ``agg.expelled``, ...); every one whose value is a field of a round's
+  :class:`~repro.fl.history.RoundRecord` is published from that record;
 - **diagnostics** — one :class:`AlgoDiagnostics` per round holding what
-  the algorithm decided (TACO's alpha_i and strikes, Scaffold's control
-  norms, the live Y_t proxy), streamed as an ``algo.diagnostics`` event
-  and kept on the round's :class:`~repro.fl.history.RoundRecord`, so
-  checkpoints, resumes and guard rollbacks carry it with the round;
+  the algorithm decided beyond the record's fields (TACO's drift cosines
+  and strikes, Scaffold's control norms, the live Y_t proxy), kept on the
+  round's record, so checkpoints, resumes and guard rollbacks carry it
+  with the round, and streamed nested in the ``round.record`` event;
 - **exporters** — JSONL event stream, Prometheus text dump and a console
   summary, selected with ``repro run ... --telemetry jsonl:out/trace.jsonl``.
 

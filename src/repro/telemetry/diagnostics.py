@@ -4,14 +4,18 @@ One :class:`AlgoDiagnostics` is produced per communication round, inside
 the telemetry hub's round window (:meth:`repro.telemetry.Telemetry.begin_round`
 to :meth:`~repro.telemetry.Telemetry.end_round`).  It holds two channels:
 
-- ``scalars`` — one float per name (``taco.mean_alpha``, ``theory.y_t``,
-  ``scaffold.server_control_norm``, ...);
+- ``scalars`` — one float per name (``taco.threshold_hits``,
+  ``theory.y_t``, ``scaffold.server_control_norm``, ...);
 - ``per_client`` — one ``{client_id: float}`` map per name
-  (``taco.alpha``, ``taco.drift_cosine``, ``stem.momentum_norm``, ...).
+  (``taco.drift_cosine``, ``taco.strikes``, ``stem.momentum_norm``, ...).
+
+It carries only what the round's :class:`~repro.fl.history.RoundRecord`
+lacks: TACO's alpha_i, update norms, test metrics and expulsions are
+record fields, not channels.
 
 The record is plain data: JSON-safe via :meth:`AlgoDiagnostics.to_dict`
 (client ids become string keys, as JSON requires; the run record, the
-checkpointed history and the ``algo.diagnostics`` event all carry this
+checkpointed history and the ``round.record`` event all carry this
 form) and reconstructable from it via :meth:`AlgoDiagnostics.from_dict`,
 which restores a checkpointed round's
 :class:`~repro.fl.history.RoundRecord`.  ``docs/OBSERVABILITY.md``

@@ -1,8 +1,8 @@
 """The telemetry hub: the program's one observation global.
 
 One facade over a tracer, a metric registry, exporters and a per-round
-diagnostics window.  The FL hot paths (simulation, client, transport,
-fault injector, strategies) call :func:`get_telemetry` and record against
+diagnostics window.  The FL hot paths (round engines, clients, fault
+injector, strategies) call :func:`get_telemetry` and record against
 whatever is installed.  By default that is :data:`NOOP` — an
 implementation whose span context manager and instruments are shared
 do-nothing singletons and whose round window discards everything, so the
@@ -10,13 +10,13 @@ disabled cost is one function call and a branch per site and training
 numerics stay bit-identical (telemetry never touches RNG streams or model
 math).
 
-The round window is what the algorithm publishes into: the round engine
-opens it with :meth:`Telemetry.begin_round`, strategies add
-:meth:`~Telemetry.scalar` and :meth:`~Telemetry.per_client` values (TACO's
-alpha_i, its strikes, Scaffold's control norms, ...), and
-:meth:`~Telemetry.end_round` streams the finished :class:`AlgoDiagnostics`
-as one ``algo.diagnostics`` event and returns it, so the round engine can
-keep it on the round's :class:`~repro.fl.history.RoundRecord`.  Publishes
+The round window is what the algorithm publishes into beyond the round's
+:class:`~repro.fl.history.RoundRecord`: the round engine opens it with
+:meth:`Telemetry.begin_round`, strategies add :meth:`~Telemetry.scalar` and
+:meth:`~Telemetry.per_client` values (TACO's drift cosines and strikes,
+Scaffold's control norms, ...), and :meth:`~Telemetry.end_round` returns
+the finished :class:`AlgoDiagnostics` so the engine keeps it on the
+round's record and streams both as one ``round.record`` event.  Publishes
 outside an open round are dropped, so strategy methods called standalone
 (the theory experiments do) stay safe.
 
@@ -27,7 +27,7 @@ Enable telemetry for a scope with :func:`telemetry_session`::
     with telemetry_session([JsonlExporter("out/trace.jsonl")]):
         result = simulation.run(rounds=10)
     for diag in result.diagnostics:   # one per round, read from the history
-        print(diag.round, diag.scalars.get("taco.mean_alpha"))
+        print(diag.round, diag.scalars.get("taco.threshold_hits"))
 
 or install permanently with :func:`set_telemetry`.  A session with no
 exporter (``repro run --introspect``) only collects.
@@ -105,13 +105,9 @@ class Telemetry:
             self._round.merge_per_client(name, values)
 
     def end_round(self) -> Optional[AlgoDiagnostics]:
-        """Close the window: stream the round's record as an event and return it.
-
-        Returns ``None`` when no round was open.
-        """
+        """Close the window and return what was published (``None`` when no
+        round was open); the engine streams it nested in ``round.record``."""
         record, self._round = self._round, None
-        if record is not None:
-            self.event("algo.diagnostics", **record.to_dict())
         return record
 
     # ------------------------------------------------------------------

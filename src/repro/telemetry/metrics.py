@@ -5,7 +5,7 @@ Three instrument kinds cover the FL stack's needs:
 - :class:`Counter` — monotonically increasing totals
   (``transport.uplink_bytes``, ``agg.quarantined``);
 - :class:`Gauge` — last-written point-in-time values
-  (``taco.alpha`` per client);
+  (``federation.inflight``);
 - :class:`Histogram` — distributions with count/sum/min/max and quantiles
   (``round.wall_seconds``).
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.autograd import default_dtype, get_default_dtype
 from repro.comm import (
     NoCompression,
     QuantizationCompressor,
@@ -88,40 +89,49 @@ class TestTopK:
             TopKCompressor(fraction=0.0)
 
 
+class TestPayloadDtype:
+    def test_payload_bytes_follow_the_compute_dtype(self, rng):
+        with default_dtype("float32"):
+            vector = np.asarray(rng.normal(size=500), dtype=get_default_dtype())
+        assert NoCompression().compress(vector, rng).payload_bytes == vector.nbytes == 2000
+        assert TopKCompressor(fraction=0.1).compress(vector, rng).payload_bytes == 50 * (4 + 4)
+        quantised = QuantizationCompressor(bits=8).compress(vector, rng)
+        assert quantised.payload_bytes == 500 + 2 * 4  # 1 byte/coord + float32 range
+
+    @pytest.mark.parametrize(
+        "compressor",
+        [NoCompression(), QuantizationCompressor(bits=4), TopKCompressor(fraction=0.2)],
+        ids=["none", "quantize", "topk"],
+    )
+    def test_wire_bytes_match_compress_without_drawing(self, compressor, vector):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        size = compressor.wire_bytes(vector)
+        assert rng.bit_generator.state == state
+        assert size == compressor.compress(vector, rng).payload_bytes
+
+
 class TestTransport:
     def make_updates(self, rng, n=3, dim=50):
         return [ClientUpdate(i, rng.normal(size=dim), 10, 2, 0.1) for i in range(n)]
 
     def test_logs_traffic(self, rng):
         transport = Transport()
-        transport.process_round(self.make_updates(rng))
-        assert transport.log.uplink_bytes_per_round == [3 * 50 * 8]
-        assert transport.log.total_bytes == 1200
+        assert [transport.compress(u) for u in self.make_updates(rng)] == [50 * 8] * 3
 
     def test_compression_reduces_traffic(self, rng):
         dense = Transport()
         sparse = Transport(TopKCompressor(fraction=0.1))
-        dense.process_round(self.make_updates(rng))
-        sparse.process_round(self.make_updates(np.random.default_rng(0)))
-        assert sparse.log.total_bytes < dense.log.total_bytes
+        dense_bytes = sum(dense.compress(u) for u in self.make_updates(rng))
+        sparse_bytes = sum(
+            sparse.compress(u) for u in self.make_updates(np.random.default_rng(0))
+        )
+        assert sparse_bytes < dense_bytes
 
     def test_updates_mutated_in_place(self, rng):
         transport = Transport(TopKCompressor(fraction=0.1))
         updates = self.make_updates(rng)
-        transport.process_round(updates)
+        for update in updates:
+            transport.compress(update)
         for update in updates:
             assert (update.delta != 0).sum() == 5
-
-    def test_uplink_seconds(self, rng):
-        transport = Transport(bandwidth_bytes_per_second=600.0)
-        transport.process_round(self.make_updates(rng))
-        assert transport.uplink_seconds(0) == pytest.approx(1200 / 600)
-
-    def test_no_bandwidth_means_zero_time(self, rng):
-        transport = Transport()
-        transport.process_round(self.make_updates(rng))
-        assert transport.uplink_seconds(0) == 0.0
-
-    def test_invalid_bandwidth(self):
-        with pytest.raises(ValueError):
-            Transport(bandwidth_bytes_per_second=0.0)

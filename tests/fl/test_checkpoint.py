@@ -227,14 +227,14 @@ class TestSimulationCheckpoints:
             assert a.quarantined == b.quarantined
 
     def test_resume_with_retries_keeps_traffic_log(self, tmp_path):
-        """A resumed run's traffic log equals the uninterrupted run's,
+        """A resumed run's per-round bytes equal the uninterrupted run's,
         retransmitted bytes included."""
         plan = FaultPlan(seed=3, transient_rate=0.6)
         full = make_simulation("fedavg", fault_plan=plan, transport=Transport())
         full.run(4)
         # Dense uploads match the broadcast, so any excess is retransmission.
-        log = full.transport.log
-        assert log.total_uplink_bytes > log.total_downlink_bytes
+        history = full.history
+        assert history.total_uplink_bytes > history.total_downlink_bytes
 
         half = make_simulation("fedavg", fault_plan=plan, transport=Transport())
         half.run(2)
@@ -242,7 +242,9 @@ class TestSimulationCheckpoints:
 
         resumed = make_simulation("fedavg", fault_plan=plan, transport=Transport())
         resumed.run(4, resume_from=tmp_path / "ckpt")
-        assert resumed.transport.log == full.transport.log
+        assert [(r.uplink_bytes, r.downlink_bytes) for r in resumed.history.records] == [
+            (r.uplink_bytes, r.downlink_bytes) for r in history.records
+        ]
         np.testing.assert_array_equal(
             resumed.server.state.global_params, full.server.state.global_params
         )

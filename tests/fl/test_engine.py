@@ -132,6 +132,7 @@ def test_sync_oracle_runrecords_match_with_diagnostics():
         with telemetry_session():
             records[kind] = record_without_timing(make_engine(kind).run(4))
     assert records["sync"]["diagnostics"]  # diagnostics were actually collected
+    assert all(records["sync"]["traffic"].values())  # both engines bill bytes
     assert records["async"] == records["sync"]
 
 

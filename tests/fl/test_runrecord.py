@@ -122,7 +122,8 @@ class TestDeterminism:
         result = _fresh_run(config, "taco", introspect=True)
         record = build_run_record(result, algorithm="taco", config=config)
         assert len(record["diagnostics"]) == 2
-        assert "taco.alpha" in record["diagnostics"][0]["per_client"]
+        assert "taco.drift_cosine" in record["diagnostics"][0]["per_client"]
+        assert record["rounds"][0]["alphas"]
 
 
 class TestEmission:

@@ -15,10 +15,18 @@ from repro.faults import FaultPlan
 from repro.fl import Client, FederatedSimulation
 from repro.fl.degradation import DegradationPolicy
 from repro.guard import GuardPolicy
-from repro.telemetry import telemetry_session
+from repro.runrecord import build_run_record, write_run_record
+from repro.telemetry import AlgoDiagnostics, InMemoryExporter, telemetry_session
 
 
-def make_sim(guard=None, corrupt_schedule=None, quarantine=False, seed=0, **policy_kwargs):
+def make_sim(
+    guard=None,
+    corrupt_schedule=None,
+    quarantine=False,
+    seed=0,
+    algorithm="fedavg",
+    **policy_kwargs,
+):
     bundle = load_dataset("adult", 160, 60, seed=0)
     parts = IIDPartitioner().partition(bundle.train.labels, 4, np.random.default_rng(5))
     clients = [
@@ -26,7 +34,7 @@ def make_sim(guard=None, corrupt_schedule=None, quarantine=False, seed=0, **poli
         for i, p in enumerate(parts)
     ]
     model = bundle.spec.make_model(rng=np.random.default_rng(seed))
-    strategy = make_strategy("fedavg", local_lr=0.05, local_steps=2)
+    strategy = make_strategy(algorithm, local_lr=0.05, local_steps=2)
     plan = None
     if corrupt_schedule is not None:
         plan = FaultPlan(seed=7, corrupt_schedule=corrupt_schedule)
@@ -64,22 +72,42 @@ class TestSkipRung:
         assert "non-finite-params" in skipped.anomalies
 
     def test_skipped_round_diagnostics_describe_restored_model(self):
-        # The round's server diagnostics were published from the poisoned
-        # model; after the skip they must read the restored record's
-        # metrics, with no update norm of the step that was undone.
-        sim = make_sim(corrupt_schedule={1: {0: "nan-stealth"}})
+        # Everything the round computed from the undone step describes the
+        # poisoned model: like a quorum-skipped round, the skipped record
+        # keeps no alphas and an empty diagnostics record for its round.
+        sim = make_sim(corrupt_schedule={1: {0: "nan-stealth"}}, algorithm="taco")
         with telemetry_session():
             result = sim.run(3)
         skipped = sim.history.records[1]
         assert skipped.recovery == "skip"
+        assert skipped.alphas == {}
         assert result.diagnostics[1] is skipped.diagnostics
-        scalars = skipped.diagnostics.scalars
-        assert scalars["server.test_accuracy"] == skipped.test_accuracy
-        assert scalars["server.test_loss"] == skipped.test_loss
-        assert "server.global_delta_norm" not in scalars
-        assert all(np.isfinite(value) for value in scalars.values())
+        assert skipped.diagnostics == AlgoDiagnostics(round=1, algorithm="taco")
+        assert sim.history.records[2].alphas  # the next round decides afresh
         # The poisoned upload's norm is what the client sent: it stays.
-        assert np.isnan(skipped.diagnostics.per_client["server.update_norm"][0])
+        assert np.isnan(skipped.update_norms[0])
+
+    def test_skipped_taco_round_writes_one_nan_token(self, tmp_path):
+        # The poisoned upload's norm is the only non-finite value left: no
+        # alpha, theory proxy or diagnostics channel of the undone step.
+        sim = make_sim(corrupt_schedule={1: {0: "nan-stealth"}}, algorithm="taco")
+        with telemetry_session():
+            result = sim.run(3)
+        path = write_run_record(
+            build_run_record(result, algorithm="taco"), tmp_path / "runrecord.json"
+        )
+        assert path.read_text().count("NaN") == 1
+
+    def test_skipped_round_event_matches_its_history_entry(self):
+        # The trace streams a round once the guard has answered, so the
+        # skipped round's event is the record the history keeps.
+        exporter = InMemoryExporter()
+        sim = make_sim(corrupt_schedule={1: {0: "nan-stealth"}}, algorithm="taco")
+        with telemetry_session([exporter]):
+            sim.run(3)
+        events = [e["fields"] for e in exporter.events if e.get("name") == "round.record"]
+        assert events == [record.to_dict() for record in sim.history.records]
+        assert events[1]["recovery"] == "skip" and events[1]["alphas"] == {}
 
     def test_skip_restores_previous_parameters(self):
         clean = make_sim()
@@ -104,6 +132,17 @@ class TestRollbackRung:
         assert sim.recovery.tightened
         assert sim.degradation.quarantine_nonfinite  # forced on
         assert len(sim.history) == 3
+
+    def test_rolled_back_rounds_are_still_streamed(self):
+        exporter = InMemoryExporter()
+        sim = make_sim(corrupt_schedule={0: {0: "nan-stealth"}}, tighten_after=2)
+        with telemetry_session([exporter]):
+            sim.run(3)
+        events = [e["fields"] for e in exporter.events if e.get("name") == "round.record"]
+        assert [(e["round"], e["recovery"]) for e in events] == [
+            (0, "rollback"), (0, "rollback"), (0, None), (1, None), (2, None)
+        ]
+        assert events[2:] == [record.to_dict() for record in sim.history.records]
 
     def test_rollback_applies_lr_backoff(self):
         sim = make_sim(corrupt_schedule={0: {0: "nan-stealth"}}, lr_backoff=0.5)

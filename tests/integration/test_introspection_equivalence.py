@@ -45,7 +45,9 @@ class TestIntrospectionEquivalence:
             plain.history.accuracies, observed.history.accuracies
         )
         # The observed run actually collected something, one record per round.
-        events = [e["fields"] for e in exporter.events if e.get("name") == "algo.diagnostics"]
+        events = [e["fields"] for e in exporter.events if e.get("name") == "round.record"]
         assert [d.round for d in observed.diagnostics] == list(range(config.rounds))
-        assert [d.to_dict() for d in observed.diagnostics] == events
+        assert [d.to_dict() for d in observed.diagnostics] == [
+            fields["diagnostics"] for fields in events
+        ]
         assert plain.diagnostics == []

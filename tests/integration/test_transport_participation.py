@@ -45,10 +45,11 @@ class TestTransportIntegration:
     def test_traffic_logged_per_round(self, fl_setup):
         bundle, clients = fl_setup
         transport = Transport(NoCompression())
-        make_simulation(bundle, clients, transport=transport).run(3)
-        assert len(transport.log.uplink_bytes_per_round) == 3
+        result = make_simulation(bundle, clients, transport=transport).run(3)
         dim = bundle.spec.make_model().num_parameters()
-        assert transport.log.uplink_bytes_per_round[0] == 4 * dim * 8
+        records = result.history.records
+        assert [r.uplink_bytes for r in records] == [4 * dim * 8] * 3
+        assert [r.downlink_bytes for r in records] == [4 * dim * 8] * 3
 
     def test_topk_still_trains(self, fl_setup):
         bundle, clients = fl_setup

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from repro.experiments import run_algorithm
+from repro.fl.engine import RoundEngine
+from repro.fl.history import RoundRecord
 from repro.experiments.runner import _RESULT_CACHE, make_experiment_strategy
 from repro.fl.state import ClientUpdate
 from repro.introspect import live_theory_scalars
@@ -86,19 +88,23 @@ class TestCollector:
         assert telemetry.end_round() is None
 
     def test_end_round_mirrors_record_to_telemetry(self):
+        # The window emits nothing itself: the round engine streams the
+        # returned record nested in its ``round.record`` event.
         exporter = InMemoryExporter()
         with telemetry_session([exporter]) as telemetry:
             telemetry.begin_round(4, "taco")
-            telemetry.scalar("taco.mean_alpha", 0.25)
-            telemetry.per_client("taco.alpha", {1: 0.5, 0: 0.25})
-            telemetry.end_round()
-        events = [e for e in exporter.events if e.get("name") == "algo.diagnostics"]
+            telemetry.scalar("taco.threshold_hits", 2.0)
+            telemetry.per_client("taco.strikes", {1: 1.0, 0: 2.0})
+            diagnostics = telemetry.end_round()
+            assert exporter.events == []
+            RoundEngine._stream(RoundRecord(4, 0.5, 1.0, 0.0, 0.0, 0.0, diagnostics=diagnostics))
+        events = [e for e in exporter.events if e.get("name") == "round.record"]
         assert len(events) == 1
-        fields = events[0]["fields"]
+        fields = events[0]["fields"]["diagnostics"]
         assert fields["round"] == 4
         assert fields["algorithm"] == "taco"
-        assert fields["scalars"] == {"taco.mean_alpha": 0.25}
-        assert fields["per_client"] == {"taco.alpha": {"0": 0.25, "1": 0.5}}
+        assert fields["scalars"] == {"taco.threshold_hits": 2.0}
+        assert fields["per_client"] == {"taco.strikes": {"0": 2.0, "1": 1.0}}
 
     def test_diagnostics_round_trip_through_dict(self):
         diag = AlgoDiagnostics(round=2, algorithm="taco")
@@ -148,21 +154,21 @@ class TestStrategiesPublish:
             result = run_algorithm(
                 config, name, strategy=make_experiment_strategy(config, name)
             )
-        events = [e["fields"] for e in exporter.events if e.get("name") == "algo.diagnostics"]
+        events = [e["fields"] for e in exporter.events if e.get("name") == "round.record"]
         return events, result
 
     def test_taco_publishes_alphas_drift_and_theory(self, tiny_config, fresh_cache):
         config = tiny_config.with_overrides(rounds=2)
         events, result = self._run(config, "taco")
         assert len(result.diagnostics) == config.rounds
-        assert [d.to_dict() for d in result.diagnostics] == events
+        assert [d.to_dict() for d in result.diagnostics] == [e["diagnostics"] for e in events]
+        alphas = result.history.records[-1].alphas  # alpha_i is a record field
+        assert alphas and set(alphas) <= set(range(config.num_clients))
+        assert events[-1]["alphas"] == {str(c): a for c, a in alphas.items()}
         record = result.diagnostics[-1]
-        assert set(record.per_client["taco.alpha"]) <= set(range(config.num_clients))
-        assert record.per_client["taco.alpha"]
         assert "taco.drift_cosine" in record.per_client
-        assert "taco.update_norm" in record.per_client
-        assert "taco.mean_alpha" in record.scalars
-        assert "server.test_accuracy" in record.scalars
+        assert not {"taco.alpha", "taco.update_norm"} & set(record.per_client)
+        assert not {"taco.mean_alpha", "server.test_accuracy"} & set(record.scalars)
         assert "theory.y_t" in record.scalars
         assert "theory.corollary2_gap" in record.scalars
 
@@ -173,8 +179,8 @@ class TestStrategiesPublish:
         _, result = self._run(config, "taco")
         record = result.diagnostics[-1]
         assert "taco.threshold_hits" in record.scalars
-        assert "taco.expelled_this_round" in record.scalars
-        assert "taco.expelled_total" in record.scalars
+        # Expulsions are record fields (RoundRecord.expelled), not scalars.
+        assert not {"taco.expelled_this_round", "taco.expelled_total"} & set(record.scalars)
 
     def test_scaffold_publishes_control_norms(self, tiny_config, fresh_cache):
         config = tiny_config.with_overrides(rounds=2)

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from repro.algorithms import CoordinateMedianAggregation, make_strategy
+from repro.data import IIDPartitioner, load_dataset
 from repro.experiments import ExperimentConfig
+from repro.fl import Client, FederatedSimulation
 from repro.fl.state import ClientUpdate, ServerState
 from repro.runrecord import canonical_json
 from repro.scenarios import (
@@ -149,6 +151,26 @@ class TestAggregationDefence:
         wrapped.aggregate(server, updates)
         # TACO's alpha bookkeeping ran even though its estimate was discarded.
         assert wrapped.base.last_alphas
+
+    def test_wrapped_taco_keeps_alphas_on_the_record(self):
+        bundle = load_dataset("adult", 160, 60, seed=0)
+        parts = IIDPartitioner().partition(bundle.train.labels, 4, np.random.default_rng(5))
+        clients = [
+            Client(i, bundle.train.subset(p), 8, np.random.default_rng(100 + i))
+            for i, p in enumerate(parts)
+        ]
+        wrapped = AggregationDefence(
+            make_strategy("taco", local_lr=0.05, local_steps=2),
+            make_strategy("median", local_lr=0.05, local_steps=2),
+        )
+        model = bundle.spec.make_model(rng=np.random.default_rng(0))
+        history = FederatedSimulation(model, clients, wrapped, bundle.test, seed=0).run(2).history
+        first, last = history.records
+        assert last.alphas and last.alphas == wrapped.base.last_alphas
+        # Table II's per-client mean reads the wrapped run's alphas too.
+        assert history.mean_alpha_by_client() == pytest.approx(
+            {cid: (first.alphas[cid] + last.alphas[cid]) / 2 for cid in range(4)}
+        )
 
     def test_hooks_forward_to_base(self):
         base = make_strategy("scaffold", local_lr=0.1, local_steps=2)

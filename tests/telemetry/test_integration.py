@@ -6,9 +6,10 @@ The two acceptance criteria from the telemetry work:
    scaffold, stem or taco run produces bit-identical final parameters and
    history whether or not a live telemetry session was active, and the
    no-op path emits zero events.
-2. Telemetry enabled on a faulty, transport-tracked 2-round run emits spans
-   for round/client/aggregate, counters for transport bytes and
-   quarantined updates, and one ``algo.diagnostics`` event per round.
+2. Telemetry enabled on a faulty 2-round run emits spans for
+   round/client/aggregate, counters for bytes and quarantined updates
+   published from the round records, and one ``round.record`` event per
+   round.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.comm import NoCompression, Transport
 from repro.experiments import run_algorithm
 from repro.experiments.runner import make_experiment_strategy
 from repro.faults import FaultPlan
@@ -67,13 +67,13 @@ def test_training_is_bit_identical_with_and_without_telemetry(tiny_config, algor
 def test_enabled_run_emits_required_spans_and_counters(tiny_config):
     config = tiny_config.with_overrides(rounds=2)
     fault_plan = FaultPlan(seed=config.seed, corrupt_rate=0.5, drop_rate=0.2)
-    transport = Transport(NoCompression(), seed=config.seed)
 
     exporter = InMemoryExporter()
     with telemetry_session([exporter]) as telemetry:
-        _run(config, fault_plan=fault_plan, transport=transport)
+        _run(config, fault_plan=fault_plan)
         span_names = {record.name for record in telemetry.tracer.finished}
         names = set(telemetry.registry.names())
+        instruments = telemetry.registry.instruments()
 
     assert {"round", "broadcast", "client", "aggregate", "evaluate"} <= span_names
     required = {
@@ -85,13 +85,13 @@ def test_enabled_run_emits_required_spans_and_counters(tiny_config):
         "agg.quarantined",
     }
     assert required <= names, f"missing metrics: {sorted(required - names)}"
-    diagnostics = [e["fields"] for e in exporter.events if e.get("name") == "algo.diagnostics"]
-    assert [fields["round"] for fields in diagnostics] == [0, 1]
-    assert all(fields["per_client"]["taco.alpha"] for fields in diagnostics)
+    rounds = [e["fields"] for e in exporter.events if e.get("name") == "round.record"]
+    assert [fields["round"] for fields in rounds] == [0, 1]
+    assert all(fields["alphas"] for fields in rounds)
     uplink = telemetry.registry.counter("transport.uplink_bytes")
     assert uplink.value > 0
-    quarantined = telemetry.registry.counter("agg.quarantined")
-    assert quarantined.value > 0  # corrupt_rate=0.5 over 2 rounds must hit
+    quarantined = sum(i.value for i in instruments if i.name == "agg.quarantined")
+    assert quarantined > 0  # corrupt_rate=0.5 over 2 rounds must hit
 
 
 def test_telemetry_alone_collects_round_diagnostics(tiny_config):
@@ -105,18 +105,19 @@ def test_telemetry_alone_collects_round_diagnostics(tiny_config):
     assert [d.round for d in result.diagnostics] == [0, 1]
     assert [d["round"] for d in record["diagnostics"]] == [0, 1]
 
-    events = [e["fields"] for e in exporter.events if e.get("name") == "algo.diagnostics"]
+    events = [e["fields"] for e in exporter.events if e.get("name") == "round.record"]
     assert [e["round"] for e in events] == [0, 1]
-    for fields, diagnostics in zip(events, result.diagnostics):
-        alphas = fields["per_client"]["taco.alpha"]
-        assert alphas == {str(c): a for c, a in diagnostics.per_client["taco.alpha"].items()}
+    for fields, round_record in zip(events, result.history.records):
+        assert fields["diagnostics"] == round_record.diagnostics.to_dict()
+        alphas = fields["alphas"]
+        assert alphas == {str(c): a for c, a in round_record.alphas.items()}
         assert all(0.0 <= alpha <= 1.0 for alpha in alphas.values())
-    # Each algorithm fact is published once: into the diagnostics, not as gauges.
+    # Each algorithm fact is published once: on the record, not as gauges.
     assert not {"taco.alpha", "taco.mean_alpha", "taco.strikes", "taco.expelled"} & names
 
 
 def test_server_facts_are_published_once(tiny_config):
-    """The global-step norm and the test metrics are diagnostics, not gauges."""
+    """‖Δ_t‖ is a diagnostic; the test metrics and α_i are record fields only."""
     config = tiny_config.with_overrides(rounds=2)
     with telemetry_session() as telemetry:
         result = _run(config)
@@ -124,7 +125,9 @@ def test_server_facts_are_published_once(tiny_config):
     assert not {"server.global_delta_norm", "round.test_accuracy", "round.test_loss"} & names
     for diagnostics in result.diagnostics:
         assert diagnostics.scalars["server.global_delta_norm"] > 0.0
-        assert "server.test_accuracy" in diagnostics.scalars
+        mirrored = {"server.test_accuracy", "server.test_loss", "taco.mean_alpha"}
+        assert not mirrored & set(diagnostics.scalars)
+        assert not {"taco.alpha", "server.update_norm"} & set(diagnostics.per_client)
 
 
 def test_round_spans_nest_client_spans(tiny_config):
@@ -145,17 +148,16 @@ def test_simulation_run_resets_stale_telemetry_state(tiny_config):
     config = tiny_config.with_overrides(rounds=2)
     with telemetry_session([InMemoryExporter()]) as telemetry:
         _run(config)
-        first_rounds = telemetry.registry.counter("server.rounds").value
+        first_rounds = telemetry.registry.histogram("round.wall_seconds").count
         _run(config)
         # The second run's non-resume start resets the registry (mirroring
         # Transport.reset), so counts do not accumulate across runs.
-        assert telemetry.registry.counter("server.rounds").value == first_rounds
+        assert telemetry.registry.histogram("round.wall_seconds").count == first_rounds
 
 
 def test_history_carries_split_traffic_and_wall_times(tiny_config):
     config = tiny_config.with_overrides(rounds=2)
-    transport = Transport(NoCompression(), seed=config.seed)
-    result = _run(config, transport=transport)
+    result = _run(config)
     history = result.history
     assert history.total_uplink_bytes > 0
     assert history.total_downlink_bytes > 0

@@ -64,8 +64,9 @@ class TestAnalysisHelpers:
         assert len(accuracies) == 3
         rounds, y_t = scalar_series(record, "theory.y_t")
         assert len(rounds) == len(y_t) > 0
-        envelope = per_client_envelope(record, "taco.alpha")
+        envelope = per_client_envelope(record, "alphas")
         assert set(envelope) == {"min", "mean", "max"}
+        assert envelope["mean"][0] == [0, 1, 2]  # alpha_i is read from every round
         assert all(
             lo <= mid <= hi
             for lo, mid, hi in zip(
@@ -96,6 +97,16 @@ class TestReport:
         # Self-contained: no external fetches (the SVG xmlns URI is not one).
         for fetch in ("<script src=", "<link ", "@import", "url(http", 'src="http'):
             assert fetch not in html
+
+    def test_alpha_panel_without_diagnostics(self, tiny_config):
+        """alpha_i and expulsions are round fields: a TACO record written
+        with telemetry off still shows its alpha spread."""
+        config = tiny_config.with_overrides(rounds=2)
+        result = run_algorithm(config, "taco", strategy=make_experiment_strategy(config, "taco"))
+        record = build_run_record(result, algorithm="taco", config=config)
+        assert record["diagnostics"] == []
+        assert "α spread" in render_html([record])
+        assert "alpha spread" in render_ascii([record])
 
     def test_ascii_report_renders(self, taco_record_path):
         records = load_records([taco_record_path])
