@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CI gate: the tier-1 test suite, one smoke run per CLI subsystem (faults,
-# telemetry, run records, resume, scenarios, federation, chaos, serving, guard),
-# the wall-clock benchmark's self-tests, its smoke runs (untraced and traced), a
-# full-size run whose digests must equal bench/baseline.json, one smoke pair
-# of the paired A/B script, and two run-record parity checks against HEAD.
+# telemetry, run records, resume, scenarios, federation, chaos, serving, guard,
+# guarded resume), the wall-clock benchmark's self-tests, its smoke runs
+# (untraced and traced), a full-size run whose digests must equal
+# bench/baseline.json, one smoke pair of the paired A/B script, and two
+# run-record parity checks against HEAD.
 #
 # Usage: scripts/ci.sh   (from the repo root; needs pyproject's dev extra:
 # python -m pip install -e ".[dev]")
@@ -225,6 +226,52 @@ out = json.load(sys.stdin)
 assert out["diverged"], "unguarded chaos run should have diverged"
 print("unguarded control ok: diverged as expected")
 '
+
+echo "==> guarded resume smoke (a chaos run checkpointed mid-ladder writes the straight run's record)"
+GUARD_ARGS=("${CHAOS_ARGS[@]}" --guard --lr-backoff 0.25)
+rm -rf out/guard_resume
+python -m repro.cli run "${GUARD_ARGS[@]}" --record-dir out/guard_resume/straight > /dev/null
+python -m repro.cli run "${GUARD_ARGS[@]}" --rounds 1 \
+    --checkpoint-every 1 --checkpoint-dir out/guard_resume/checkpoint > /dev/null
+python - <<'PY'
+import json
+
+import numpy as np
+
+checkpoint = "out/guard_resume/checkpoint"
+meta = json.load(open(f"{checkpoint}/meta.json"))
+ladder = {
+    key.split("|")[1]: value
+    for key, value in meta["guard_scalars"].items()
+    if key.count("|") == 1 and key.startswith("recovery|")
+}
+assert meta["round"] == 1, meta["round"]
+assert ladder["rollbacks_used"] >= 1 and ladder["lr_scale"] < 1.0, ladder
+assert not ladder["aborted"], ladder
+with np.load(f"{checkpoint}/arrays.npz") as archive:
+    kept = [key for key in archive.files if key.endswith("|state|server|global_params")]
+assert kept, "the guard ring holds no engine states"
+print(f"mid-ladder checkpoint ok: round {meta['round']}, {len(kept)} kept states, "
+      f"ladder {ladder}")
+PY
+python -m repro.cli run "${GUARD_ARGS[@]}" --checkpoint-dir out/guard_resume/checkpoint \
+    --resume --record-dir out/guard_resume/resumed > /dev/null
+python - <<'PY'
+import json
+
+
+def without_timing(kind):
+    with open(f"out/guard_resume/{kind}/adult-fedavg-s3/runrecord.json") as handle:
+        record = json.load(handle)
+    record.pop("timing")
+    return record
+
+
+straight, resumed = without_timing("straight"), without_timing("resumed")
+assert straight["guard"]["rollbacks"] >= 1, straight["guard"]
+assert resumed == straight, "resumed guarded record differs"
+print("guarded resume smoke ok: records equal without timing, guard", resumed["guard"])
+PY
 
 echo "==> fault-tolerance experiment smoke"
 python -m pytest -q benchmarks/test_fault_tolerance.py --benchmark-disable

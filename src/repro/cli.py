@@ -400,20 +400,14 @@ def cmd_federate(args: argparse.Namespace) -> int:
     except (TypeError, ValueError) as error:
         print(f"invalid federate arguments: {error}", file=sys.stderr)
         return 2
-    record_path = None
-    if args.record_dir:
-        record_path = (
-            Path(args.record_dir)
-            / f"{config.dataset}-{config.algorithm}-p{config.population}-s{config.seed}"
-            / "runrecord.json"
-        )
     try:
         with contextlib.ExitStack() as stack:
             if exporters:
                 stack.enter_context(telemetry_session(exporters))
+            if args.record_dir:
+                stack.enter_context(recording_session(args.record_dir))
             coordinator, result = run_federation(
                 config,
-                record_path=record_path,
                 checkpoint_every=args.checkpoint_every,
                 checkpoint_dir=args.checkpoint_dir,
                 resume_from=args.checkpoint_dir if args.resume else None,
@@ -466,8 +460,6 @@ def cmd_federate(args: argparse.Namespace) -> int:
                 title=f"{config.dataset} — {config.algorithm} semi-async ({config.scheme} sampling)",
             )
         )
-    if record_path is not None:
-        print(f"wrote {record_path}", file=sys.stderr)
     return 0
 
 
@@ -994,7 +986,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fed_p.add_argument(
         "--record-dir", default=None, metavar="DIR",
-        help="write runrecord.json under DIR/<dataset>-<algo>-p<population>-s<seed>/",
+        help="write a schema-versioned runrecord.json under DIR "
+        "(DIR/<dataset>-<algorithm>-p<population>-b<buffer>-s<seed>/runrecord.json)",
     )
     _add_checkpoint_arguments(fed_p)
     fed_p.set_defaults(func=cmd_federate)
@@ -1088,7 +1081,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exp_p.add_argument(
         "--record-dir", default=None, metavar="DIR",
-        help="write a runrecord.json per simulated run under DIR",
+        help="write a runrecord.json per sync or semi-async run under DIR",
     )
     exp_p.set_defaults(func=cmd_experiment)
 

@@ -39,7 +39,7 @@ class RoundFaultLog:
     lost_after_retries: List[int] = field(default_factory=list)
     corrupted: Dict[int, str] = field(default_factory=dict)  # client -> mode
     straggled: Dict[int, float] = field(default_factory=dict)  # client -> factor
-    retries: Dict[int, int] = field(default_factory=dict)  # client -> attempts
+    retries: Dict[int, int] = field(default_factory=dict)  # client -> retries
 
     @property
     def dropped(self) -> List[int]:
@@ -118,11 +118,15 @@ class FaultInjector:
 
             if decision.transient_failures > 0:
                 policy = self.plan.retry_policy
-                attempts = min(decision.transient_failures, policy.max_attempts)
-                log.retries[update.client_id] = attempts
                 # Exponential backoff charged to the client's round time —
                 # the same RetryPolicy the network transport layer uses.
-                update.sim_time += policy.total_backoff(attempts)
+                update.sim_time += policy.total_backoff(
+                    min(decision.transient_failures, policy.max_attempts)
+                )
+                # The send attempts after the first, lost upload or not.
+                retries = min(decision.transient_failures, self.plan.retry_limit)
+                if retries:
+                    log.retries[update.client_id] = retries
                 if decision.transient_failures > self.plan.retry_limit:
                     log.lost_after_retries.append(update.client_id)
                     continue

@@ -462,9 +462,16 @@ class AsyncCoordinator(RoundEngine):
         )
         self._count_delivery("dispatched")
         payload_bytes = int(update.delta.nbytes)
-        # Every send attempt (retries included) burns uplink bytes, even
-        # the ones the wire drops — that is what retry traffic costs.
-        self._since_flush.uplink_bytes += payload_bytes * max(outcome.attempts, 1)
+        # Every send attempt burns uplink bytes, even the ones the wire
+        # drops: the retries (the attempts after the first) are recorded
+        # for a lost upload too.
+        retried = outcome.attempts - 1
+        self._since_flush.uplink_bytes += payload_bytes * (retried + 1)
+        if retried:
+            self._since_flush.retried[client_id] = (
+                self._since_flush.retried.get(client_id, 0) + retried
+            )
+            self._count_delivery("retried", retried)
 
         compute_start = self._clock + outcome.decision.downlink_delay
         if outcome.lost:
@@ -490,12 +497,6 @@ class AsyncCoordinator(RoundEngine):
             self._pending_ids.add(client_id)
             return 1
 
-        if outcome.attempts > 1:
-            retried = outcome.attempts - 1
-            self._since_flush.retried[client_id] = (
-                self._since_flush.retried.get(client_id, 0) + retried
-            )
-            self._count_delivery("retried", retried)
         if outcome.held_by_partition:
             self._count_delivery("partition_held")
 
@@ -706,7 +707,6 @@ class AsyncCoordinator(RoundEngine):
     def run(
         self,
         rounds: int,
-        record_path=None,
         checkpoint_every: int = 0,
         checkpoint_dir=None,
         resume_from=None,
@@ -716,7 +716,7 @@ class AsyncCoordinator(RoundEngine):
         ``checkpoint_every``/``checkpoint_dir``/``resume_from`` persist and
         restore the full coordinator state at flush boundaries via
         :mod:`repro.federation.persist`, bit-exact with an uninterrupted
-        run.  ``record_path`` writes a runrecord.json at the end.
+        run.
         """
         from . import persist  # deferred; persist imports this module's types
 
@@ -725,7 +725,6 @@ class AsyncCoordinator(RoundEngine):
             checkpoint_every,
             checkpoint_dir,
             resume_from,
-            record_path,
             save=persist.save_coordinator,
             load=persist.load_coordinator,
         )

@@ -1,9 +1,10 @@
 """Checkpoint/resume for the async coordinator.
 
-The server, model, strategy, counters and history go through the shared
-core of :mod:`repro.fl.checkpoint` (:func:`~repro.fl.checkpoint.save_run`
-/ :func:`~repro.fl.checkpoint.restore_run`), exactly as for the
-synchronous engine.  The extra state here is the event loop itself: the
+The engine state (:meth:`~repro.fl.engine.RoundEngine.state_dict`) and
+the history go through the shared core of :mod:`repro.fl.checkpoint`
+(:func:`~repro.fl.checkpoint.save_run` /
+:func:`~repro.fl.checkpoint.restore_run`), exactly as for the synchronous
+engine.  The extra state here is the event loop itself: the
 virtual clock, the dispatch sequence counter, the registry's saved
 per-client RNG stream positions, and every in-flight
 :class:`~repro.federation.coordinator.PendingUpload` *including its

@@ -31,6 +31,7 @@ from ..fl.simulation import SimulationResult
 from ..network.plan import NetworkPlan
 from ..network.retry import RetryPolicy
 from ..network.traffic import ArrivalTrace, make_trace
+from ..runrecord import active_record_dir, build_run_record, write_run_record
 from .coordinator import AsyncCoordinator
 from .registry import ClientRegistry
 
@@ -211,25 +212,31 @@ def build_coordinator(
 
 def run_federation(
     config: FederateConfig,
-    record_path=None,
     checkpoint_every: int = 0,
     checkpoint_dir=None,
     resume_from=None,
 ) -> Tuple[AsyncCoordinator, SimulationResult]:
-    """Run one semi-async federation job end to end."""
+    """Run one semi-async federation job end to end.
+
+    Inside a :func:`~repro.runrecord.recording_session` the run writes
+    ``<dataset>-<algorithm>-p<population>-b<buffer>-s<seed>/runrecord.json``
+    under the session's directory, as ``run_algorithm`` does for sync runs.
+    """
     coordinator = build_coordinator(config)
     result = coordinator.run(
         config.rounds,
-        record_path=None,
         checkpoint_every=checkpoint_every,
         checkpoint_dir=checkpoint_dir,
         resume_from=resume_from,
     )
-    if record_path is not None:
-        from ..runrecord import build_run_record, write_run_record
-
+    record_dir = active_record_dir()
+    if record_dir is not None:
+        slug = (
+            f"{config.dataset}-{config.algorithm}-p{config.population}"
+            f"-b{coordinator.buffer_size}-s{config.seed}"
+        )
         write_run_record(
             build_run_record(result, algorithm=config.algorithm, config=config),
-            record_path,
+            record_dir / slug / "runrecord.json",
         )
     return coordinator, result

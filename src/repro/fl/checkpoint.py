@@ -5,12 +5,13 @@ capability.  Checkpoints are plain ``.npz`` archives (arrays) and ``.json``
 metadata (round, history), so they stay portable and diff-able.
 
 :func:`save_run` / :func:`restore_run` checkpoint a whole run of either
-engine (:class:`~repro.fl.engine.RoundEngine`): server state, model
-buffers, strategy state (control variates, momenta, TACO alphas and
-strikes), the round and evaluation counters and the training history.
-Each engine adds its own state on top — :func:`save_simulation` the RNG
-streams and guard; ``repro.federation.persist`` the event
-loop — so a killed run resumes **bit-exact** at the next round boundary.
+engine: its :meth:`~repro.fl.engine.RoundEngine.state_dict` (server
+vectors, model buffers, strategy state such as control variates, momenta,
+TACO alphas and strikes, the simulated-time and evaluation counters) and
+its training history.  The parameters are stored once, as the server's
+w_t.  Each engine adds its own state on top — :func:`save_simulation` the
+RNG streams and guard; ``repro.federation.persist`` the event loop — so a
+killed run resumes **bit-exact** at the next round boundary.
 """
 
 from __future__ import annotations
@@ -75,6 +76,12 @@ def flatten_state(
         scalars[prefix] = value
 
 
+def _group_scalars(scalars: Dict[str, Any], group: str) -> Dict[str, Any]:
+    """The scalars :func:`flatten_state` put under ``group``, keyed without it."""
+    prefix = f"{group}{STATE_SEP}"
+    return {key[len(prefix) :]: value for key, value in scalars.items() if key.startswith(prefix)}
+
+
 def unflatten_state(flat: Dict[str, Any]) -> Dict[str, Any]:
     """Rebuild the nested dict produced by ``Strategy.state_dict``."""
     nested: Dict[str, Any] = {}
@@ -96,42 +103,28 @@ def save_run(
     arrays: Dict[str, np.ndarray],
     meta: Dict[str, Any],
 ) -> Path:
-    """Write the checkpoint core every engine shares, plus its own state.
+    """Write the engine's state and history, plus its own state.
 
-    The core is the server vectors, model buffers, strategy state, the
-    round and evaluation counters and the history of a
-    :class:`~repro.fl.engine.RoundEngine`.  ``kind`` names the engine
-    (``"sync"`` or ``"async"``) so the other one refuses to resume it;
-    ``arrays`` (``group|name`` keys) and ``meta`` add the engine's own
-    state to ``arrays.npz`` and ``meta.json``.
+    The state's groups land in ``arrays.npz`` as ``server|...``,
+    ``model|...`` and ``strategy|...`` arrays, its scalars in ``meta.json``.
+    ``kind`` names the engine (``"sync"`` or ``"async"``) so the other one
+    refuses to resume it; ``arrays`` (``group|name`` keys) and ``meta`` add
+    the engine's own state to ``arrays.npz`` and ``meta.json``.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    state = engine.server.state
-
-    core: Dict[str, np.ndarray] = {
-        f"server{STATE_SEP}round": np.asarray(state.round),
-        f"server{STATE_SEP}global_params": state.global_params,
-    }
-    if state.prev_global_params is not None:
-        core[f"server{STATE_SEP}prev_global_params"] = state.prev_global_params
-    if state.global_delta is not None:
-        core[f"server{STATE_SEP}global_delta"] = state.global_delta
-    for key, value in engine.model.state_dict().items():
-        core[f"model{STATE_SEP}{key}"] = value
-    strategy_arrays: Dict[str, np.ndarray] = {}
-    strategy_scalars: Dict[str, Any] = {}
-    for key, value in engine.strategy.state_dict().items():
-        flatten_state(value, key, strategy_arrays, strategy_scalars)
-    for key, value in strategy_arrays.items():
-        core[f"strategy{STATE_SEP}{key}"] = value
-
+    state = engine.state_dict()
+    round_index = state["server"]["round"]
+    # The round is stamped into arrays.npz too, so a torn write shows.
+    core: Dict[str, np.ndarray] = {f"server{STATE_SEP}round": np.asarray(round_index)}
+    scalars: Dict[str, Any] = {}
+    for group in ("server", "model", "strategy"):
+        flatten_state(state.pop(group), group, core, scalars)
     meta = {
         "engine": kind,
-        "round": state.round,
-        "cumulative_sim_time": engine._cumulative_sim_time,
-        "last_evaluated_round": engine._last_evaluated_round,
-        "strategy_scalars": strategy_scalars,
+        "round": round_index,
+        **state,  # the simulated-time and evaluation counters
+        "strategy_scalars": _group_scalars(scalars, "strategy"),
         **meta,
     }
     # Stage all three files, then swap each in whole with meta.json last: an
@@ -169,13 +162,15 @@ def read_meta(directory: str | Path, kind: str) -> Dict[str, Any]:
 def restore_run(
     engine, directory: str | Path, meta: Dict[str, Any]
 ) -> Dict[str, Dict[str, np.ndarray]]:
-    """Load the checkpoint core into ``engine``; returns the arrays by group.
+    """Load the engine's state and history; returns the arrays by group.
 
     Every array of ``arrays.npz`` is returned under its first key segment
     (``"transport"``, ``"guard"``, ``"event"``, ...) so the engine can
-    restore its own state next.  A checkpoint whose server vectors are of
-    another dtype than the engine's (written under the other compute
-    dtype) is refused rather than resumed with mixed dtypes.
+    restore its own state next.  A checkpoint missing part of the state,
+    or whose server vectors are of another dtype than the engine's
+    (written under the other compute dtype), is refused with a
+    ``ValueError`` naming the directory.  The parameter copies older
+    checkpoints keep under ``model|`` are ignored: w_t is the server's.
     """
     directory = Path(directory)
     groups: Dict[str, Dict[str, np.ndarray]] = {}
@@ -193,40 +188,40 @@ def restore_run(
             f"torn checkpoint at {directory}: arrays are from round {int(server['round'])}, "
             f"meta.json from round {meta['round']} (a checkpoint write was interrupted)"
         )
-
-    state = engine.server.state
-    stored, current = server["global_params"].dtype, state.global_params.dtype
-    if stored != current:
+    stored = server.get("global_params")
+    current = engine.server.state.global_params.dtype
+    if stored is not None and stored.dtype != current:
         raise ValueError(
-            f"cannot resume from {directory}: its parameters are {stored}, "
+            f"cannot resume from {directory}: its parameters are {stored.dtype}, "
             f"this run computes in {current}"
         )
-    state.global_params = server["global_params"].copy()
-    state.prev_global_params = (
-        server["prev_global_params"].copy() if "prev_global_params" in server else None
-    )
-    state.global_delta = server["global_delta"].copy() if "global_delta" in server else None
-    state.round = int(meta["round"])
-    if groups.get("model"):
-        engine.model.load_state_dict(groups["model"])
 
-    engine.strategy.reset()
-    engine.strategy.load_state_dict(
-        unflatten_state({**groups.get("strategy", {}), **meta["strategy_scalars"]})
-    )
+    try:
+        engine.load_state_dict(
+            {
+                "server": {**server, "round": meta["round"]},
+                "model": groups.get("model", {}),
+                "strategy": unflatten_state(
+                    {**groups.get("strategy", {}), **meta["strategy_scalars"]}
+                ),
+                "cumulative_sim_time": meta["cumulative_sim_time"],
+                "last_evaluated_round": meta["last_evaluated_round"],
+            }
+        )
+    except KeyError as error:
+        raise ValueError(f"incomplete checkpoint at {directory}: no {error} entry") from error
     engine.history = history
-    engine._cumulative_sim_time = float(meta["cumulative_sim_time"])
-    engine._last_evaluated_round = int(meta["last_evaluated_round"])
     return groups
 
 
 def save_simulation(simulation, directory: str | Path) -> Path:
     """Checkpoint a :class:`~repro.fl.simulation.FederatedSimulation`.
 
-    Writes ``arrays.npz`` (server vectors, model buffers, strategy
-    arrays), ``meta.json`` (round counters, RNG streams,
-    strategy scalars) and ``history.json`` into ``directory``.  Safe to
-    call at any round boundary; later checkpoints overwrite earlier ones.
+    Adds the RNG streams (engine, clients, transport) and, when a guard is
+    attached, the monitor's windows and the recovery ladder with its ring of
+    engine states to :func:`save_run`'s ``arrays.npz``, ``meta.json`` and
+    ``history.json`` in ``directory``.  Safe to call at any round
+    boundary; later checkpoints overwrite earlier ones.
     """
     arrays: Dict[str, np.ndarray] = {}
     rng_states: Dict[str, Any] = {
@@ -241,20 +236,14 @@ def save_simulation(simulation, directory: str | Path) -> Path:
     meta: Dict[str, Any] = {"num_clients": len(simulation.clients), "rng_states": rng_states}
 
     if simulation.recovery is not None:
-        # Guard state: the monitor's rolling windows plus the recovery
-        # controller's ladder position and snapshot ring buffer, so a
-        # checkpoint taken mid-recovery resumes bit-exactly.
-        recovery_state = simulation.recovery.state_dict()
-        recovery_state["snapshots"] = {
-            str(i): snap for i, snap in enumerate(recovery_state["snapshots"])
+        # A checkpoint taken mid-recovery resumes bit-exactly.
+        guard = {
+            "recovery": simulation.recovery.state_dict(),
+            "monitor": simulation.monitor.state_dict(),
         }
-        guard_arrays: Dict[str, np.ndarray] = {}
-        guard_scalars: Dict[str, Any] = {}
-        flatten_state(recovery_state, "recovery", guard_arrays, guard_scalars)
-        flatten_state(simulation.monitor.state_dict(), "monitor", guard_arrays, guard_scalars)
-        for key, value in guard_arrays.items():
-            arrays[f"guard{STATE_SEP}{key}"] = value
-        meta["guard_scalars"] = guard_scalars
+        scalars: Dict[str, Any] = {}
+        flatten_state(guard, "guard", arrays, scalars)
+        meta["guard_scalars"] = _group_scalars(scalars, "guard")
 
     return save_run(simulation, directory, "sync", arrays, meta)
 
@@ -263,10 +252,9 @@ def load_simulation(simulation, directory: str | Path) -> int:
     """Restore a checkpoint into ``simulation``; returns completed rounds.
 
     The simulation must be constructed identically to the checkpointed one
-    (same clients, strategy type, seeds); everything mutable — server
-    vectors, model buffers, strategy state, RNG streams, history — is
-    overwritten so the next round replays exactly as it would
-    have in the uninterrupted run.
+    (same clients, strategy type, seeds); everything mutable — the engine
+    state, RNG streams, guard, history — is overwritten so the next round
+    replays exactly as it would have in the uninterrupted run.
     """
     meta = read_meta(directory, "sync")
     if meta["num_clients"] != len(simulation.clients):
@@ -290,12 +278,13 @@ def load_simulation(simulation, directory: str | Path) -> int:
     if simulation.recovery is not None:
         if "guard_scalars" in meta:
             guard_state = unflatten_state({**groups.get("guard", {}), **meta["guard_scalars"]})
-            recovery_state = guard_state.get("recovery", {})
-            snapshots = recovery_state.get("snapshots", {}) or {}
-            recovery_state["snapshots"] = [
-                snapshots[key] for key in sorted(snapshots, key=int)
-            ]
-            simulation.recovery.load_state_dict(recovery_state)
+            try:
+                simulation.recovery.load_state_dict(guard_state.get("recovery", {}))
+            except KeyError as error:
+                raise ValueError(
+                    f"cannot resume from {directory}: its guard ring holds no engine "
+                    f"states (no {error} entry; written by an older version)"
+                ) from error
             simulation.monitor.load_state_dict(guard_state.get("monitor", {}))
             # Re-derive the mutated run knobs from the restored ladder
             # position: the backed-off server lr and, if recovery had

@@ -24,8 +24,12 @@ in how a round's updates arrive:
   virtual-time event loop and closes a round (a *flush*) whenever its
   arrival buffer fills.
 
-Both checkpoint through :func:`repro.fl.checkpoint.save_run`, so they
-share one on-disk core as well.
+:meth:`RoundEngine.state_dict` is the one definition of what a run's state
+is (w_t and the round, the model's buffers, the strategy's state, the
+simulated-time and evaluation counters).  Checkpoints
+(:func:`repro.fl.checkpoint.save_run`, shared by both engines) and the
+guard's rollback ring (:mod:`repro.guard.recovery`) both save and restore
+an engine through it.
 """
 
 from __future__ import annotations
@@ -34,11 +38,12 @@ import collections
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..introspect import live_theory_scalars
+from ..nn.module import BUFFER_PREFIX
 from ..telemetry import AlgoDiagnostics, get_telemetry
 from .degradation import DegradationPolicy, validate_updates
 from .history import RoundRecord, TrainingHistory
@@ -146,6 +151,62 @@ class RoundEngine:
         expelled = self.strategy.expelled
         return bool(expelled) and len(expelled) >= self.server.state.num_clients
 
+    # ------------------------------------------------------------------
+    # State
+    # ------------------------------------------------------------------
+    def state_dict(self) -> Dict[str, Any]:
+        """The state a resume or a guard rollback brings back, uncopied.
+
+        ``server`` holds the round and w_t (plus w_{t-1} and Δ_t once set),
+        ``model`` the model's buffers keyed as :meth:`Module.state_dict
+        <repro.nn.module.Module.state_dict>` keys them (its parameters are
+        w_t), ``strategy`` the strategy's ``state_dict``.  There is no
+        history, no RNG stream, and neither ``server.global_lr`` nor the
+        degradation policy, which the guard changes on purpose.  The values
+        alias the live run: copy them to keep them.
+        """
+        state = self.server.state
+        server: Dict[str, Any] = {"round": state.round, "global_params": state.global_params}
+        if state.prev_global_params is not None:
+            server["prev_global_params"] = state.prev_global_params
+        if state.global_delta is not None:
+            server["global_delta"] = state.global_delta
+        return {
+            "server": server,
+            "model": {BUFFER_PREFIX + name: value for name, value in self.model.named_buffers()},
+            "strategy": self.strategy.state_dict(),
+            "cumulative_sim_time": self._cumulative_sim_time,
+            "last_evaluated_round": self._last_evaluated_round,
+        }
+
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        """Install a :meth:`state_dict`, taking ownership of its arrays.
+
+        The model is left holding w_t and the stored buffers.  Every entry
+        is looked up before anything changes, so a missing one raises
+        ``KeyError`` and leaves the engine as it was.  Other keys under
+        ``model`` (the parameter copies older checkpoints hold) are ignored.
+        """
+        server = state["server"]
+        params = server["global_params"]
+        stored = state.get("model", {})  # a bufferless model stores none
+        buffers = {name: stored[BUFFER_PREFIX + name] for name, _ in self.model.named_buffers()}
+        sim_time = float(state["cumulative_sim_time"])
+        evaluated = int(state["last_evaluated_round"])
+
+        target = self.server.state
+        target.round = int(server["round"])
+        target.global_params = params
+        target.prev_global_params = server.get("prev_global_params")
+        target.global_delta = server.get("global_delta")
+        self.model.load_vector(params)
+        for name, value in buffers.items():
+            self.model.load_buffer(name, value)
+        self.strategy.reset()
+        self.strategy.load_state_dict(state.get("strategy", {}))
+        self._cumulative_sim_time = sim_time
+        self._last_evaluated_round = evaluated
+
     def serving_summary(self) -> Optional[dict]:
         """Always None: delivery latency lives on the ``serving.flush`` spans,
         not in the run record.  Kept because ``bench/child.py`` passes it to
@@ -161,7 +222,6 @@ class RoundEngine:
         checkpoint_every: int,
         checkpoint_dir,
         resume_from,
-        record_path,
         save: CheckpointIO,
         load: CheckpointIO,
     ) -> SimulationResult:
@@ -214,13 +274,6 @@ class RoundEngine:
 
         result = self._result(run_started, diverged)
         self._stream(unstreamed)
-        if record_path is not None:
-            from ..runrecord import build_run_record, write_run_record
-
-            write_run_record(
-                build_run_record(result, algorithm=getattr(self.strategy, "name", "unknown")),
-                record_path,
-            )
         return result
 
     def _result(self, run_started: float, diverged: bool) -> SimulationResult:

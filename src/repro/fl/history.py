@@ -37,7 +37,9 @@ class RoundRecord:
     dropped: List[int] = field(default_factory=list)  # crashes + retry-exhausted
     quarantined: Dict[int, str] = field(default_factory=dict)  # client -> reason
     stragglers: List[int] = field(default_factory=list)  # missed the deadline
-    retries: Dict[int, int] = field(default_factory=dict)  # client -> attempts
+    # Send attempts after the first, for every upload that left its client
+    # (one lost after retries too):
+    retries: Dict[int, int] = field(default_factory=dict)  # client -> retries
     # Delivery semantics (repro.network; empty without an active plan):
     duplicated: List[int] = field(default_factory=list)  # deduplicated arrivals
     deliveries: Dict[str, int] = field(default_factory=dict)  # outcome -> count

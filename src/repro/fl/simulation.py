@@ -166,16 +166,14 @@ class FederatedSimulation(RoundEngine):
         checkpoint_every: int = 0,
         checkpoint_dir: str | Path | None = None,
         resume_from: str | Path | None = None,
-        record_path: str | Path | None = None,
     ) -> SimulationResult:
         """Train for ``rounds`` communication rounds.
 
         ``checkpoint_every``/``checkpoint_dir`` persist the complete run
-        state (model, server, strategy, RNG streams, history) every N
+        state (the engine state, RNG streams, guard and history) every N
         rounds; ``resume_from`` restores such a checkpoint and continues —
         bit-exact with the uninterrupted run — until ``rounds`` total
-        rounds are done.  ``record_path`` writes a schema-versioned
-        ``runrecord.json`` (see :mod:`repro.runrecord`) when the run ends.
+        rounds are done.
         """
         from . import checkpoint  # deferred: checkpoint imports history/model only
 
@@ -184,7 +182,6 @@ class FederatedSimulation(RoundEngine):
             checkpoint_every,
             checkpoint_dir,
             resume_from,
-            record_path,
             save=checkpoint.save_simulation,
             load=checkpoint.load_simulation,
         )
@@ -322,10 +319,10 @@ class FederatedSimulation(RoundEngine):
     ) -> int:
         """Compress the delivered uploads; return the bytes every send cost.
 
-        An upload costs its payload once per send attempt: a delivered one
-        its failed attempts (``retries``) plus the one that arrived, one
-        lost after retries only the failed ones.  The payload is the
-        transport's compressed size when one is attached, else the delta's.
+        An upload costs its payload once per send attempt, its ``retries``
+        plus the first, whether it arrived or was lost after retries.  The
+        payload is the transport's compressed size when one is attached,
+        else the delta's.
         """
         payload: Dict[int, int] = {}
         for update in delivered:
@@ -343,8 +340,7 @@ class FederatedSimulation(RoundEngine):
                     if self.transport is not None
                     else update.delta.nbytes
                 )
-            attempts = retries.get(update.client_id, 0) + (update.client_id in payload)
-            total += size * attempts
+            total += size * (retries.get(update.client_id, 0) + 1)
         return total
 
     def _over_select(self, active: Sequence[int], participating: List[int]) -> List[int]:

@@ -4,7 +4,7 @@ The guard watches every round of a :class:`~repro.fl.simulation.FederatedSimulat
 (:class:`HealthMonitor`), and when training goes off the rails — non-finite
 state, loss spikes, exploding updates — applies a deterministic escalation
 ladder (:class:`RecoveryController`): skip the round, roll back to a
-known-good snapshot with server-lr backoff, tighten the degradation
+known-good engine state with server-lr backoff, tighten the degradation
 quarantine, and only abort once the escalation budget is exhausted.
 
 Attach it with ``FederatedSimulation(..., guard=GuardPolicy())`` or the CLI
@@ -28,13 +28,7 @@ from .anomaly import (
 )
 from .monitor import HealthMonitor, locate_slice, parameter_layout
 from .policy import GuardPolicy
-from .recovery import (
-    ACTION_ABORT,
-    ACTION_ROLLBACK,
-    ACTION_SKIP,
-    RecoveryController,
-    Snapshot,
-)
+from .recovery import ACTION_ABORT, ACTION_ROLLBACK, ACTION_SKIP, RecoveryController
 
 __all__ = [
     "ANOMALY_KINDS",
@@ -55,7 +49,6 @@ __all__ = [
     "RecoveryController",
     "SEVERITY_CRITICAL",
     "SEVERITY_WARN",
-    "Snapshot",
     "locate_slice",
     "parameter_layout",
 ]

@@ -36,7 +36,7 @@ class GuardPolicy:
     Recovery
     --------
     rollback_window:
-        K: how many known-good server snapshots the ring buffer keeps.
+        K: how many known-good engine states the ring buffer keeps.
         Consecutive failed recoveries walk deeper into this buffer.
     max_rollbacks:
         The escalation budget: after this many rollbacks the controller

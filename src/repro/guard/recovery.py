@@ -1,16 +1,19 @@
 """The recovery controller: an escalating, deterministic response ladder.
 
-The controller keeps a ring buffer of the last K known-good server
-snapshots (the same state the PR-1 checkpoint serialisation persists:
-server vectors, strategy ``state_dict``, round counters) and, when the
-monitor reports a critical anomaly, climbs a fixed ladder:
+The controller keeps a ring buffer of the last K known-good engine
+states (copies of :meth:`~repro.fl.engine.RoundEngine.state_dict`, the
+state a checkpoint persists: server vectors, model buffers, strategy
+state, the simulated-time and evaluation counters), each with the test
+metrics of its round, and, when the monitor reports a critical anomaly,
+climbs a fixed ladder:
 
-1. **skip** — first anomaly after a healthy round: restore the last good
-   server/strategy state but keep the round counter advanced, exactly a
-   quorum-failure skip (``w_{t+1} = w_t``).  Cures round-local poison (a
-   NaN upload that slipped through) without burning rollback budget.
+1. **skip** — first anomaly after a healthy round: load the last good
+   state but keep the round counter and the simulated time advanced,
+   exactly a quorum-failure skip (``w_{t+1} = w_t``).  Cures round-local
+   poison (a NaN upload that slipped through) without burning rollback
+   budget.
 2. **rollback** — the anomaly persists: rewind the run to the last good
-   snapshot (consecutive failures walk deeper into the ring buffer),
+   state (consecutive failures walk deeper into the ring buffer),
    multiply the server learning rate by ``lr_backoff``, and truncate the
    poisoned history records.  The rewound rounds replay with freshly drawn
    cohorts from the simulation's (checkpointed) RNG stream, so resume
@@ -30,10 +33,8 @@ checkpoint saved mid-recovery resume bit-exactly.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence
-
-import numpy as np
+from dataclasses import replace
+from typing import Any, Dict, List, Sequence
 
 from ..fl.degradation import DegradationPolicy
 from ..fl.history import RecoveryEvent, RoundRecord
@@ -52,23 +53,12 @@ ACTION_ABORT = "abort"
 _MIN_OUTLIER_FACTOR = 1.5
 
 
-@dataclass
-class Snapshot:
-    """One known-good server state, as captured after a healthy round."""
-
-    round: int
-    global_params: np.ndarray
-    global_delta: Optional[np.ndarray]
-    prev_global_params: Optional[np.ndarray]
-    strategy_state: Dict[str, Any]
-    cumulative_sim_time: float
-    last_evaluated_round: int
-    test_accuracy: Optional[float]  # None only for the pre-training seed
-    test_loss: Optional[float]
-
-
 class RecoveryController:
-    """Applies the escalation ladder to a :class:`FederatedSimulation`."""
+    """Applies the escalation ladder to a :class:`FederatedSimulation`.
+
+    Each ring entry is ``{"state": <engine state>, "test_accuracy": ...,
+    "test_loss": ...}``; the metrics are ``None`` for the pre-training state.
+    """
 
     def __init__(self, policy: GuardPolicy, base_global_lr: float) -> None:
         self.policy = policy
@@ -79,49 +69,37 @@ class RecoveryController:
         self.consecutive = 0  # recoveries since the last healthy round
         self.aborted = False
         self.tightened = False
-        self._snapshots: List[Snapshot] = []
+        self._ring: List[Dict[str, Any]] = []
 
     # ------------------------------------------------------------------
-    # Snapshots
+    # The ring of known-good states
     # ------------------------------------------------------------------
     def prime(self, simulation) -> None:
         """Seed the ring buffer with the (known-good) pre-training state."""
-        self._snapshots = []
-        self._push_snapshot(simulation, accuracy=None, loss=None)
+        self._ring = []
+        self._keep(simulation, accuracy=None, loss=None)
 
     def note_healthy(self, simulation, record: RoundRecord) -> None:
-        """A round passed every check: snapshot it, reset the escalation."""
+        """A round passed every check: keep its state, reset the escalation."""
         self.consecutive = 0
-        self._push_snapshot(
+        self._keep(
             simulation, accuracy=float(record.test_accuracy), loss=float(record.test_loss)
         )
 
-    def _push_snapshot(self, simulation, accuracy, loss) -> None:
-        state = simulation.server.state
-        self._snapshots.append(
-            Snapshot(
-                round=state.round,
-                global_params=state.global_params.copy(),
-                global_delta=(
-                    state.global_delta.copy() if state.global_delta is not None else None
-                ),
-                prev_global_params=(
-                    state.prev_global_params.copy()
-                    if state.prev_global_params is not None
-                    else None
-                ),
-                strategy_state=copy.deepcopy(simulation.strategy.state_dict()),
-                cumulative_sim_time=simulation._cumulative_sim_time,
-                last_evaluated_round=simulation._last_evaluated_round,
-                test_accuracy=accuracy,
-                test_loss=loss,
-            )
+    def _keep(self, simulation, accuracy, loss) -> None:
+        self._ring.append(
+            {
+                "state": copy.deepcopy(simulation.state_dict()),
+                "test_accuracy": accuracy,
+                "test_loss": loss,
+            }
         )
-        del self._snapshots[: -self.policy.rollback_window]
+        del self._ring[: -self.policy.rollback_window]
 
     @property
-    def snapshots(self) -> List[Snapshot]:
-        return list(self._snapshots)
+    def snapshots(self) -> List[Dict[str, Any]]:
+        """The ring's entries, oldest first."""
+        return list(self._ring)
 
     # ------------------------------------------------------------------
     # The ladder
@@ -137,13 +115,13 @@ class RecoveryController:
         )
         telemetry = get_telemetry()
 
-        last = self._snapshots[-1] if self._snapshots else None
+        last = self._ring[-1] if self._ring else None
         skip_possible = (
-            self.consecutive == 1 and last is not None and last.test_loss is not None
+            self.consecutive == 1 and last is not None and last["test_loss"] is not None
         )
         if skip_possible:
             action = ACTION_SKIP
-        elif self.rollbacks_used >= self.policy.max_rollbacks or not self._snapshots:
+        elif self.rollbacks_used >= self.policy.max_rollbacks or not self._ring:
             action = ACTION_ABORT
         else:
             action = ACTION_ROLLBACK
@@ -186,16 +164,19 @@ class RecoveryController:
             telemetry.counter("guard.aborts").add(1)
         return action
 
-    def _apply_skip(self, simulation, record: RoundRecord, snap: Snapshot) -> None:
+    def _apply_skip(self, simulation, record: RoundRecord, entry: Dict[str, Any]) -> None:
         """Undo the round's step but keep its slot: w_{t+1} = last good w."""
-        self._restore_arrays(simulation, snap)
+        live = simulation.state_dict()
+        state = copy.deepcopy(entry["state"])
+        state["server"]["round"] = live["server"]["round"]
+        state["cumulative_sim_time"] = live["cumulative_sim_time"]
+        simulation.load_state_dict(state)
         # The recorded metrics were evaluated on poisoned parameters; after
-        # the restore the model *is* the snapshot model, so carry its
-        # (finite) metrics forward exactly as an eval_every gap would.
-        record.test_accuracy = float(snap.test_accuracy)
-        record.test_loss = float(snap.test_loss)
+        # the restore the model *is* the kept one, so carry its (finite)
+        # metrics forward exactly as an eval_every gap would.
+        record.test_accuracy = float(entry["test_accuracy"])
+        record.test_loss = float(entry["test_loss"])
         record.recovery = ACTION_SKIP
-        simulation._last_evaluated_round = snap.last_evaluated_round
         # The step was undone, so nothing computed from it describes the
         # model the run continues from: like a quorum-skipped round, the
         # record keeps no alphas and empty diagnostics.  The uploads' norms
@@ -207,34 +188,18 @@ class RecoveryController:
             )
 
     def _apply_rollback(self, simulation) -> None:
-        """Rewind to the last good snapshot with server-lr backoff."""
+        """Rewind to the last good state with server-lr backoff."""
         self.rollbacks_used += 1
         # Consecutive failed recoveries walk deeper into the ring buffer:
-        # the newest "good" snapshot may sit right at the instability cliff.
-        if self.consecutive > 2 and len(self._snapshots) > 1:
-            self._snapshots.pop()
-        snap = self._snapshots[-1]
-        self._restore_arrays(simulation, snap)
-        simulation.server.state.round = snap.round
-        simulation.history.truncate(snap.round)
-        simulation._cumulative_sim_time = snap.cumulative_sim_time
-        simulation._last_evaluated_round = snap.last_evaluated_round
+        # the newest "good" state may sit right at the instability cliff.
+        if self.consecutive > 2 and len(self._ring) > 1:
+            self._ring.pop()
+        simulation.load_state_dict(copy.deepcopy(self._ring[-1]["state"]))
+        simulation.history.truncate(simulation.server.state.round)
         self.lr_scale *= self.policy.lr_backoff
         simulation.server.global_lr = self.base_global_lr * self.lr_scale
         if self.rollbacks_used >= self.policy.tighten_after:
             self._tighten_quarantine(simulation)
-
-    def _restore_arrays(self, simulation, snap: Snapshot) -> None:
-        state = simulation.server.state
-        state.global_params = snap.global_params.copy()
-        state.global_delta = (
-            snap.global_delta.copy() if snap.global_delta is not None else None
-        )
-        state.prev_global_params = (
-            snap.prev_global_params.copy() if snap.prev_global_params is not None else None
-        )
-        simulation.strategy.reset()
-        simulation.strategy.load_state_dict(copy.deepcopy(snap.strategy_state))
 
     def _tighten_quarantine(self, simulation) -> None:
         """Harden the degradation gate (escalation rung 3); idempotent."""
@@ -254,7 +219,11 @@ class RecoveryController:
     # Checkpointing
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
-        """Everything needed to resume mid-recovery bit-exactly."""
+        """Everything needed to resume mid-recovery bit-exactly.
+
+        The ring is keyed by position (``"0"`` oldest), so a checkpoint
+        flattens it like any other nested state.
+        """
         return {
             "lr_scale": self.lr_scale,
             "rollbacks_used": self.rollbacks_used,
@@ -262,54 +231,19 @@ class RecoveryController:
             "consecutive": self.consecutive,
             "aborted": self.aborted,
             "tightened": self.tightened,
-            "snapshots": [
-                {
-                    "round": snap.round,
-                    "global_params": snap.global_params,
-                    "global_delta": snap.global_delta,
-                    "prev_global_params": snap.prev_global_params,
-                    "strategy_state": snap.strategy_state,
-                    "cumulative_sim_time": snap.cumulative_sim_time,
-                    "last_evaluated_round": snap.last_evaluated_round,
-                    "test_accuracy": snap.test_accuracy,
-                    "test_loss": snap.test_loss,
-                }
-                for snap in self._snapshots
-            ],
+            "snapshots": {str(i): entry for i, entry in enumerate(self._ring)},
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
+        """Restore :meth:`state_dict`; an entry without an engine state raises ``KeyError``."""
+        ring = state.get("snapshots", {})
+        self._ring = [
+            {name: ring[key][name] for name in ("state", "test_accuracy", "test_loss")}
+            for key in sorted(ring, key=int)
+        ]
         self.lr_scale = float(state["lr_scale"])
         self.rollbacks_used = int(state["rollbacks_used"])
         self.skips_used = int(state.get("skips_used", 0))
         self.consecutive = int(state["consecutive"])
         self.aborted = bool(state["aborted"])
         self.tightened = bool(state["tightened"])
-        self._snapshots = [
-            Snapshot(
-                round=int(item["round"]),
-                global_params=np.asarray(item["global_params"]),
-                global_delta=(
-                    np.asarray(item["global_delta"])
-                    if item.get("global_delta") is not None
-                    else None
-                ),
-                prev_global_params=(
-                    np.asarray(item["prev_global_params"])
-                    if item.get("prev_global_params") is not None
-                    else None
-                ),
-                strategy_state=item.get("strategy_state", {}),
-                cumulative_sim_time=float(item["cumulative_sim_time"]),
-                last_evaluated_round=int(item["last_evaluated_round"]),
-                test_accuracy=(
-                    float(item["test_accuracy"])
-                    if item.get("test_accuracy") is not None
-                    else None
-                ),
-                test_loss=(
-                    float(item["test_loss"]) if item.get("test_loss") is not None else None
-                ),
-            )
-            for item in state.get("snapshots", [])
-        ]

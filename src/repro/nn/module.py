@@ -24,6 +24,9 @@ from .arena import FlatParameterArena
 #: too, with no parent links to walk.
 _REGISTRATIONS = 0
 
+#: :meth:`Module.state_dict` keys a buffer as this prefix + its dotted name.
+BUFFER_PREFIX = "buffer:"
+
 
 class Parameter(Tensor):
     """A trainable tensor registered on a :class:`Module`.
@@ -181,23 +184,24 @@ class Module:
     def state_dict(self) -> Dict[str, np.ndarray]:
         state = {name: param.data.copy() for name, param in self.named_parameters()}
         for name, buffer in self.named_buffers():
-            state[f"buffer:{name}"] = np.array(buffer, copy=True)
+            state[BUFFER_PREFIX + name] = np.array(buffer, copy=True)
         return state
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         params = dict(self.named_parameters())
         for name, value in state.items():
-            if name.startswith("buffer:"):
-                self._load_buffer(name[len("buffer:") :], value)
+            if name.startswith(BUFFER_PREFIX):
+                self.load_buffer(name[len(BUFFER_PREFIX) :], value)
             else:
                 if name not in params:
                     raise KeyError(f"unexpected parameter {name!r}")
                 params[name].data[...] = value
-        missing = set(params) - {k for k in state if not k.startswith("buffer:")}
+        missing = set(params) - {k for k in state if not k.startswith(BUFFER_PREFIX)}
         if missing:
             raise KeyError(f"state dict missing parameters: {sorted(missing)}")
 
-    def _load_buffer(self, dotted: str, value: np.ndarray) -> None:
+    def load_buffer(self, dotted: str, value: np.ndarray) -> None:
+        """Set the buffer named ``dotted`` (e.g. ``bn1.running_mean``) to a copy of ``value``."""
         parts = dotted.split(".")
         module: Module = self
         for part in parts[:-1]:

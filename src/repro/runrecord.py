@@ -14,13 +14,14 @@ produce byte-identical records once ``timing`` is dropped — the property
 ``tests/fl/test_runrecord.py`` enforces and the ``repro diff`` baseline
 mode relies on.
 
-Emission points:
-
-- ``FederatedSimulation.run(record_path=...)`` writes one record directly;
-- :func:`recording_session` installs a process-wide output directory that
-  ``repro.experiments.run_algorithm`` (and therefore every experiment
-  module and CLI entry point) writes into, one
-  ``<dataset>-<algorithm>-s<seed>/runrecord.json`` per run.
+Emission: :func:`recording_session` installs a process-wide output
+directory that ``repro.experiments.run_algorithm`` and
+``repro.federation.run_federation`` (and therefore every experiment module
+and CLI entry point) write into, one
+``<dataset>-<algorithm>-s<seed>/runrecord.json`` per sync run and one
+``<dataset>-<algorithm>-p<population>-b<buffer>-s<seed>/runrecord.json``
+per semi-async run.  A caller that builds an engine by hand writes its
+record with :func:`build_run_record` and :func:`write_run_record`.
 """
 
 from __future__ import annotations
@@ -241,7 +242,7 @@ def active_record_dir() -> Optional[Path]:
 
 @contextlib.contextmanager
 def recording_session(path: str | Path) -> Iterator[Path]:
-    """Route every ``run_algorithm`` call in the scope into ``path``."""
+    """Route every ``run_algorithm`` and ``run_federation`` call in the scope into ``path``."""
     target = Path(path)
     previous = set_record_dir(target)
     try:

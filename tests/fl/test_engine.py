@@ -245,6 +245,55 @@ def test_unstamped_checkpoint_still_resumes_bit_exact(tmp_path, kind):
     np.testing.assert_array_equal(resumed.history.accuracies, straight.history.accuracies)
 
 
+def rewrite_arrays(directory, edit):
+    """Replace a checkpoint's ``arrays.npz`` by ``edit(arrays)``."""
+    with np.load(directory / "arrays.npz") as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    np.savez(directory / "arrays.npz", **edit(arrays))
+
+
+@pytest.mark.parametrize("kind", ENGINES)
+def test_checkpoint_stores_parameters_only_as_server_vectors(tmp_path, kind):
+    engine = make_engine(kind)
+    engine.run(2, checkpoint_every=2, checkpoint_dir=tmp_path)
+    with np.load(tmp_path / "arrays.npz") as archive:
+        keys = set(archive.files)
+    assert "server|global_params" in keys
+    parameters = {f"model|{name}" for name, _ in engine.model.named_parameters()}
+    assert not keys & parameters
+
+
+@pytest.mark.parametrize("kind", ENGINES)
+def test_parameter_copies_of_older_checkpoints_are_ignored(tmp_path, kind):
+    """Older checkpoints also stored every parameter under ``model|``; a
+    resume installs w_t from the server vectors and ignores those copies."""
+    straight = make_engine(kind).run(4)
+    engine = make_engine(kind)
+    engine.run(2, checkpoint_every=2, checkpoint_dir=tmp_path)
+    copies = {
+        f"model|{name}": np.full_like(param.data, np.nan)
+        for name, param in engine.model.named_parameters()
+    }
+    rewrite_arrays(tmp_path, lambda arrays: {**arrays, **copies})
+
+    resumed = make_engine(kind).run(4, resume_from=tmp_path)
+    assert resumed.final_params.tobytes() == straight.final_params.tobytes()
+    np.testing.assert_array_equal(resumed.history.accuracies, straight.history.accuracies)
+
+
+@pytest.mark.parametrize("kind", ENGINES)
+def test_checkpoint_missing_a_state_array_is_rejected_in_one_line(tmp_path, kind):
+    make_engine(kind).run(2, checkpoint_every=2, checkpoint_dir=tmp_path)
+    rewrite_arrays(
+        tmp_path,
+        lambda arrays: {k: v for k, v in arrays.items() if k != "server|global_params"},
+    )
+    with pytest.raises(ValueError, match="global_params") as error:
+        make_engine(kind).run(4, resume_from=tmp_path)
+    message = str(error.value)
+    assert str(tmp_path) in message and "\n" not in message
+
+
 class ExpelsClientZero(FedAvg):
     """Expels client 0 once a round is aggregated, through ``expelled`` alone."""
 

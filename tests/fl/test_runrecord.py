@@ -165,28 +165,15 @@ class TestEmission:
         assert emitted  # one directory per algorithm the experiment ran
         assert any("taco" in name for name in emitted)
 
-    def test_simulation_run_record_path(self, tiny_config, fresh_cache, tmp_path):
-        import numpy as np
+    def test_async_runs_write_one_record_per_cell(self, tmp_path):
+        # run_federation writes where run_algorithm does, one directory per
+        # (dataset, algorithm, population, buffer, seed).
+        from repro.experiments import table10_federation
 
-        from repro.experiments.runner import build_environment, make_clients
-        from repro.fl import FederatedSimulation
-
-        config = tiny_config.with_overrides(rounds=2)
-        env = build_environment(config)
-        model = env.bundle.spec.make_model(
-            rng=np.random.default_rng(config.seed),
-            width_multiplier=config.width_multiplier,
-        )
-        simulation = FederatedSimulation(
-            model=model,
-            clients=make_clients(env),
-            strategy=make_experiment_strategy(config, "fedavg"),
-            test_set=env.bundle.test,
-            global_lr=config.global_lr,
-            seed=config.seed,
-        )
-        path = tmp_path / "runrecord.json"
-        simulation.run(2, record_path=path)
-        record = load_run_record(path)
-        assert record["algorithm"] == "fedavg"
-        assert record["final"]["rounds"] == 2
+        with recording_session(tmp_path / "runs"):
+            table10_federation.run(populations=(1_000,), buffers=(4, 8), rounds=1)
+        emitted = sorted(p.parent.name for p in (tmp_path / "runs").glob("*/runrecord.json"))
+        assert emitted == ["adult-fedavg-p1000-b4-s0", "adult-fedavg-p1000-b8-s0"]
+        for name in emitted:
+            record = load_run_record(tmp_path / "runs" / name / "runrecord.json")
+            assert record["config"]["buffer_size"] == int(name.split("-b")[1].split("-")[0])

@@ -6,10 +6,13 @@ ladder — skip, rollback with lr backoff, quarantine tightening, abort —
 can be exercised deterministically.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.algorithms import make_strategy
+from repro.cli import main
 from repro.data import IIDPartitioner, load_dataset
 from repro.faults import FaultPlan
 from repro.fl import Client, FederatedSimulation
@@ -48,6 +51,38 @@ def make_sim(
         degradation=DegradationPolicy(quarantine_nonfinite=quarantine),
         guard=guard if guard is not None else GuardPolicy(**policy_kwargs),
     )
+
+
+def make_resnet_sim():
+    """A guarded ResNet-18, whose BatchNorm buffers are state beyond w_t.
+
+    Rounds 2 and 3 deliver stealth-NaN uploads past a disabled quarantine:
+    the guard skips round 2, rolls round 3 back to round 2, then the
+    replayed round 2 back to round 1, and the second rollback tightens
+    the quarantine.
+    """
+    bundle = load_dataset("cifar100", 64, 32, seed=0)
+    parts = IIDPartitioner().partition(bundle.train.labels, 2, np.random.default_rng(5))
+    clients = [
+        Client(i, bundle.train.subset(p), 8, np.random.default_rng(100 + i))
+        for i, p in enumerate(parts)
+    ]
+    model = bundle.spec.make_model(rng=np.random.default_rng(0), width_multiplier=0.05)
+    plan = FaultPlan(seed=7, corrupt_schedule={2: {0: "nan-stealth"}, 3: {0: "nan-stealth"}})
+    return FederatedSimulation(
+        model,
+        clients,
+        make_strategy("fedavg", local_lr=0.05, local_steps=1),
+        bundle.test,
+        seed=0,
+        fault_plan=plan,
+        degradation=DegradationPolicy(quarantine_nonfinite=False),
+        guard=GuardPolicy(),
+    )
+
+
+def buffer_bytes(model):
+    return {name: value.tobytes() for name, value in model.named_buffers()}
 
 
 class TestSkipRung:
@@ -206,7 +241,7 @@ class TestSnapshots:
         sim = make_sim(rollback_window=2)
         sim.run(5)
         assert len(sim.recovery.snapshots) == 2
-        assert [s.round for s in sim.recovery.snapshots] == [4, 5]
+        assert [s["state"]["server"]["round"] for s in sim.recovery.snapshots] == [4, 5]
 
     def test_controller_state_round_trips(self):
         sim = make_sim(corrupt_schedule={0: {0: "nan-stealth"}})
@@ -217,10 +252,102 @@ class TestSnapshots:
         assert clone.recovery.lr_scale == sim.recovery.lr_scale
         assert clone.recovery.rollbacks_used == sim.recovery.rollbacks_used
         assert clone.recovery.tightened == sim.recovery.tightened
-        assert [s.round for s in clone.recovery.snapshots] == [
-            s.round for s in sim.recovery.snapshots
+        assert [s["state"]["server"]["round"] for s in clone.recovery.snapshots] == [
+            s["state"]["server"]["round"] for s in sim.recovery.snapshots
         ]
         np.testing.assert_array_equal(
-            clone.recovery.snapshots[-1].global_params,
-            sim.recovery.snapshots[-1].global_params,
+            clone.recovery.snapshots[-1]["state"]["server"]["global_params"],
+            sim.recovery.snapshots[-1]["state"]["server"]["global_params"],
         )
+
+
+class TestModelBuffers:
+    def test_skip_and_rollbacks_restore_the_kept_buffers(self):
+        # After each recovery the model holds, byte for byte, the buffers
+        # the engine held when the restored state was kept, not the
+        # statistics of the rounds the guard rejected.
+        sim = make_resnet_sim()
+        recovery = sim.recovery
+        kept = {}  # server round -> buffers when its state was kept
+        newest = []
+        prime, note_healthy, respond = recovery.prime, recovery.note_healthy, recovery.respond
+
+        def keep(engine):
+            kept[engine.server.state.round] = buffer_bytes(engine.model)
+            newest.append(engine.server.state.round)
+
+        def watched_prime(engine):
+            prime(engine)
+            keep(engine)
+
+        def watched_note_healthy(engine, record):
+            note_healthy(engine, record)
+            keep(engine)
+
+        outcomes = []
+
+        def watched_respond(engine, record, anomalies):
+            rejected = buffer_bytes(engine.model)
+            action = respond(engine, record, anomalies)
+            event = engine.history.recoveries[-1]
+            target = event.rolled_back_to if action == "rollback" else newest[-1]
+            restored = buffer_bytes(engine.model)
+            outcomes.append((action, target, rejected != kept[target], restored == kept[target]))
+            return action
+
+        recovery.prime = watched_prime
+        recovery.note_healthy = watched_note_healthy
+        recovery.respond = watched_respond
+        sim.run(5)
+        assert len(kept[0]) == 24  # ResNet-18's BatchNorm running statistics
+        # Each rejected round had moved the buffers; each recovery restored them.
+        assert outcomes == [
+            ("skip", 2, True, True),
+            ("rollback", 2, True, True),
+            ("rollback", 1, True, True),
+        ]
+
+    def test_mid_ladder_resume_matches_the_uninterrupted_run(self, tmp_path):
+        straight = make_resnet_sim()
+        straight.run(5)
+
+        make_resnet_sim().run(3, checkpoint_every=1, checkpoint_dir=tmp_path)
+        guard = json.loads((tmp_path / "meta.json").read_text())["guard_scalars"]
+        # The checkpoint holds the ladder after the skip, before its rollbacks.
+        assert guard["recovery|consecutive"] == 1 and guard["recovery|rollbacks_used"] == 0
+
+        resumed = make_resnet_sim()
+        resumed.run(5, resume_from=tmp_path)
+        assert [e.action for e in resumed.history.recoveries] == ["skip", "rollback", "rollback"]
+        assert (
+            resumed.server.state.global_params.tobytes()
+            == straight.server.state.global_params.tobytes()
+        )
+        assert buffer_bytes(resumed.model) == buffer_bytes(straight.model)
+        assert resumed.history.accuracies.tolist() == straight.history.accuracies.tolist()
+
+    def test_ring_without_engine_states_fails_with_one_line(self, tmp_path, capsys):
+        # Older versions kept each ring entry's fields flat, with no engine
+        # state to restore the model's buffers from: resuming fails with
+        # one line naming the checkpoint, and ``repro run`` exits 2.
+        checkpoints = str(tmp_path)
+        argv = [
+            "run", "--dataset", "adult", "--clients", "3", "--local-steps", "2",
+            "--train-size", "120", "--test-size", "50", "--guard",
+            "--checkpoint-dir", checkpoints,
+        ]
+        assert main([*argv, "--rounds", "2", "--checkpoint-every", "1"]) == 0
+        with np.load(tmp_path / "arrays.npz") as archive:
+            arrays = {key.replace("|state|", "|"): archive[key] for key in archive.files}
+        np.savez(tmp_path / "arrays.npz", **arrays)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        meta["guard_scalars"] = {
+            key.replace("|state|", "|"): value for key, value in meta["guard_scalars"].items()
+        }
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+
+        assert main([*argv, "--rounds", "3", "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot resume from {checkpoints}")
+        assert err.count("\n") == 1  # one line, no traceback

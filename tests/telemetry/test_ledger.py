@@ -123,3 +123,43 @@ def test_lease_only_run_bills_the_perfect_wire_bytes():
     # Every flush aggregates one cohort of six, each a copy of w_t each way.
     cohort_bytes = 6 * wire.server.state.global_params.nbytes
     assert billed == [(cohort_bytes, cohort_bytes)] * config.rounds
+
+
+def test_retries_are_the_attempts_after_the_first_on_both_engines(tiny_config):
+    """``RoundRecord.retries`` counts the sends after the first of every upload
+    that left its client, one lost after its retries too, by one rule on both
+    engines; each upload bills its payload once per send."""
+    config = tiny_config.with_overrides(rounds=2)
+    plan = FaultPlan(seed=1, transient_rate=1.0, retry_limit=0)  # every first send fails
+    sync = run_algorithm(
+        config, "fedavg", strategy=make_experiment_strategy(config, "fedavg"), fault_plan=plan
+    )
+    payload = sync.final_params.nbytes
+    for record in sync.history.records:
+        assert record.retries == {}  # the policy allows no retry
+        assert record.dropped == record.participating  # every upload lost
+        assert record.uplink_bytes == payload * len(record.participating)
+    assert sync.history.fault_summary()["retried_uploads"] == 0
+
+    lossy = FederateConfig(
+        population=200,
+        cohort_size=5,
+        buffer_size=5,
+        rounds=2,
+        local_steps=2,
+        samples_per_client=16,
+        batch_size=8,
+        test_size=60,
+        width_multiplier=0.5,
+        loss_rate=1.0,
+        retry_limit=2,
+    )
+    coordinator = build_coordinator(lossy)
+    history = coordinator.run(lossy.rounds).history
+    payload = coordinator.server.state.global_params.nbytes
+    lost = history.total_dropped
+    assert lost == history.delivery_summary()["lost"] > 0
+    retries = [n for record in history.records for n in record.retries.values()]
+    assert retries == [2] * lost  # each lost upload was sent three times
+    assert history.delivery_summary()["retried"] == sum(retries)
+    assert history.total_uplink_bytes == lost * 3 * payload
